@@ -9,8 +9,9 @@ import itertools
 import time
 from collections import Counter
 
-from mirigs.monoid import count_free_monoid, mask_members, mask_size
+from mirigs.monoid import count_free_monoid, mask_members
 from mirigs.subsemigroups import (
+    count_replete,
     count_replete_bounded_height,
     count_uniform,
     enumerate_replete,
@@ -55,7 +56,7 @@ def main():
 
     print("replete subsemigroups (and height-bounded closed forms):")
     t0 = time.time()
-    totals = [sum(1 for _ in enumerate_replete(n)) for n in range(min(top, 3) + 1)]
+    totals = [count_replete(n) for n in range(min(top, 3) + 1)]
     print("  ", totals, f"({time.time()-t0:.2f}s)")
     for n in range(min(top, 3) + 1):
         print(f"   n={n}: h<=2 {count_replete_bounded_height(n, 2)}, h<=3 {count_replete_bounded_height(n, 3)}")

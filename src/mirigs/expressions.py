@@ -6,6 +6,8 @@ Grammar (whitespace-insensitive, multiplication binds tighter than addition):
     term   := factor ('*' factor)*
     factor := NAT | LETTER | '(' expr ')'
     NAT    := [0-9]+        LETTER := [a-z]
+
+Parentheses nest at most MAX_NESTING deep.
 """
 
 from __future__ import annotations
@@ -40,9 +42,14 @@ class Mul:
 
 Node = Union[Const, Gen, Add, Mul]
 
+# The parser recurses three frames per parenthesis level; this keeps it,
+# and the evaluator, far from Python's recursion limit.
+MAX_NESTING = 100
+
 
 def parse_expression(text: str) -> Node:
     pos = 0
+    depth = 0
 
     def skip_ws():
         nonlocal pos
@@ -54,14 +61,18 @@ def parse_expression(text: str) -> Node:
         return text[pos] if pos < len(text) else ""
 
     def factor() -> Node:
-        nonlocal pos
+        nonlocal pos, depth
         ch = peek()
         if ch == "(":
+            if depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", pos)
+            depth += 1
             pos += 1
             e = expr()
             if peek() != ")":
                 raise ParseError("expected ')'", pos)
             pos += 1
+            depth -= 1
             return e
         if ch.isdigit():
             start = pos
@@ -98,8 +109,12 @@ def parse_expression(text: str) -> Node:
 
 def max_generator(e: Node) -> int:
     """Largest generator index used, or -1 for a constant expression."""
-    if isinstance(e, Gen):
-        return e.index
-    if isinstance(e, Const):
-        return -1
-    return max(max_generator(e.left), max_generator(e.right))
+    top = -1
+    stack = [e]
+    while stack:
+        e = stack.pop()
+        if isinstance(e, Gen):
+            top = max(top, e.index)
+        elif not isinstance(e, Const):
+            stack += (e.left, e.right)
+    return top

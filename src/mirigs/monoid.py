@@ -12,12 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Literal, Optional
+from typing import Iterator, Optional
 
 from .errors import CapacityError, ParseError
 
 Word = tuple[int, ...]
-Side = Literal["left", "right"]
 
 MAX_GENERATORS = 26  # letter rendering a..z
 
@@ -237,13 +236,6 @@ def tree_product(s: Tree, t: Tree) -> Tree:
     return out
 
 
-def product_of(trees) -> Tree:
-    out = LEAF
-    for t in trees:
-        out = tree_product(out, t)
-    return out
-
-
 def is_left_factor(s: Tree, t: Tree) -> bool:
     """True iff t = s * t' for some t', i.e. s*t = t."""
     return tree_product(s, t) is t
@@ -260,16 +252,6 @@ def is_right_factor(s: Tree, t: Tree) -> bool:
 # The rightmost path of a tree lists its generators in order of last
 # occurrence in any representing word, the leftmost path in order of first
 # occurrence.  Both are total orders on the alphabet.
-
-
-@dataclass(frozen=True)
-class ExtremalPath:
-    seq: tuple[int, ...]
-    side: Side
-
-    def __post_init__(self):
-        if len(set(self.seq)) != len(self.seq):
-            raise ValueError("extremal paths are duplicate-free")
 
 
 def rmp(t: Tree) -> tuple[int, ...]:
@@ -289,10 +271,6 @@ def lmp(t: Tree) -> tuple[int, ...]:
     return tuple(out)
 
 
-def extremal_path(t: Tree, side: Side) -> ExtremalPath:
-    return ExtremalPath(lmp(t) if side == "left" else rmp(t), side)
-
-
 def star_right(rho, sigma):
     """rmp analogue of concatenation: rmp(s*t) = star_right(rmp s, rmp t).
 
@@ -308,35 +286,6 @@ def star_left(rho, sigma):
     return tuple(rho) + tuple(x for x in sigma if x not in keep)
 
 
-def star_right_j(rho, sigma, j):
-    """star_right against the suffix of sigma starting at position j (1-based);
-    identity on rho when j exceeds len(sigma)."""
-    if not 1 <= j:
-        raise ValueError("j is 1-based")
-    if j > len(sigma):
-        return tuple(rho)
-    return star_right(rho, sigma[j - 1:])
-
-
-def star_left_j(rho, sigma, j):
-    """Mirror of star_right_j: uses the length-j prefix of sigma, prepended."""
-    if not 1 <= j:
-        raise ValueError("j is 1-based")
-    if j > len(sigma):
-        return tuple(rho)
-    return star_left(sigma[:j], rho)
-
-
-def path_star(rho: ExtremalPath, sigma: ExtremalPath, j: Optional[int] = None) -> ExtremalPath:
-    if rho.side != sigma.side:
-        raise ValueError("paths must lie on the same side")
-    if rho.side == "right":
-        seq = star_right(rho.seq, sigma.seq) if j is None else star_right_j(rho.seq, sigma.seq, j)
-    else:
-        seq = star_left(rho.seq, sigma.seq) if j is None else star_left_j(rho.seq, sigma.seq, j)
-    return ExtremalPath(seq, rho.side)
-
-
 # ---------------------------------------------------------------------------
 # Enumeration and counting
 
@@ -349,10 +298,17 @@ def tree_count_full(k: int) -> int:
     return c
 
 
+# The size at 14 generators has more than 4300 decimal digits, Python's
+# default limit for converting an int to text.
+MAX_MONOID_COUNT_N = 13
+
+
 def count_free_monoid(n: int) -> int:
     """Size of the free idempotent monoid on n generators."""
     if n < 0:
         raise ValueError("n must be nonnegative")
+    if n > MAX_MONOID_COUNT_N:
+        raise CapacityError(f"monoid census supported for n <= {MAX_MONOID_COUNT_N}")
     import math
 
     return sum(math.comb(n, k) * tree_count_full(k) for k in range(n + 1))
@@ -417,10 +373,6 @@ def trees_with_lmp(lam: tuple[int, ...]) -> tuple[Tree, ...]:
             for r in _trees_on(mask & ~(1 << a1)):
                 out.append(node(l, lam[-1], a1, r))
     return tuple(sorted(out, key=Tree.sort_key))
-
-
-def monoid_elements(n: int) -> list[Tree]:
-    return all_trees(n)
 
 
 # Shortest-word search walks the whole submonoid on the word's alphabet,

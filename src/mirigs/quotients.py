@@ -18,47 +18,6 @@ def reduce_nat(k: int, m: int, n: int) -> int:
     return m + (k - m) % n
 
 
-@dataclass(frozen=True)
-class QNat:
-    """An element of N_{m,n}."""
-
-    value: int
-    m: int
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1 or self.m < 0:
-            raise ValueError("need m >= 0 and n >= 1")
-        if not 0 <= self.value <= self.m + self.n - 1:
-            raise ValueError("value out of range")
-
-    def _check(self, other):
-        if (self.m, self.n) != (other.m, other.n):
-            raise ValueError(
-                f"mismatched quotient parameters {(self.m, self.n)} vs {(other.m, other.n)}"
-            )
-
-    def __add__(self, other):
-        self._check(other)
-        return QNat(reduce_nat(self.value + other.value, self.m, self.n), self.m, self.n)
-
-    def __mul__(self, other):
-        self._check(other)
-        return QNat(reduce_nat(self.value * other.value, self.m, self.n), self.m, self.n)
-
-
-def qnat(value: int, m: int = 2, n: int = 2) -> QNat:
-    return QNat(reduce_nat(value, m, n), m, n)
-
-
-def qnat_add(x: QNat, y: QNat) -> QNat:
-    return x + y
-
-
-def qnat_mul(x: QNat, y: QNat) -> QNat:
-    return x * y
-
-
 class CoefficientRig:
     """Thicket coefficient arithmetic: N_{m,n}, or the naturals when unbounded."""
 
@@ -111,21 +70,6 @@ class MonoidTable:
     elements: list[str]
     mul: list[list[int]]
     one: int
-
-
-RIG_AXIOMS = (
-    "add_assoc",
-    "add_unit_left",
-    "add_unit_right",
-    "add_comm",
-    "mul_assoc",
-    "mul_unit_left",
-    "mul_unit_right",
-    "zero_absorb_left",
-    "zero_absorb_right",
-    "distrib_left",
-    "distrib_right",
-)
 
 
 @dataclass

@@ -79,52 +79,11 @@ def layer_of(trees, mask: int) -> TreeSet:
     return frozenset(t for t in trees if t.alpha == mask)
 
 
-def lonely_trees(trees) -> TreeSet:
-    by_alpha = {}
-    for t in trees:
-        by_alpha.setdefault(t.alpha, []).append(t)
-    return frozenset(ts[0] for ts in by_alpha.values() if len(ts) == 1)
-
-
 def xy_factor(trees, x: Tree, y: Tree, n: int) -> TreeSet:
     """{t in T_n : x*t*y in trees}."""
     ts = set(trees)
     return frozenset(
         t for t in all_trees(n) if tree_product(tree_product(x, t), y) in ts
-    )
-
-
-# ---------------------------------------------------------------------------
-# Branch sets of uniform layers
-
-
-@dataclass(frozen=True)
-class BranchSet:
-    side: str  # "left" | "right"
-    height: int
-    branches: frozenset  # (Tree, gen) for left, (gen, Tree) for right; {()} at height 0
-
-
-def branch_sets(trees, mask: int) -> tuple[BranchSet, BranchSet]:
-    """Left and right branch sets of the uniform layer at the given alphabet."""
-    layer = layer_of(trees, mask)
-    if not layer:
-        raise ValueError(f"empty fiber at alphabet {mask:#x}")
-    if mask == 0:
-        conv = frozenset({()})
-        return BranchSet("left", 0, conv), BranchSet("right", 0, conv)
-    k = mask_size(mask)
-    lb = frozenset((t.left, t.a0) for t in layer)
-    rb = frozenset((t.a1, t.right) for t in layer)
-    return BranchSet("left", k, lb), BranchSet("right", k, rb)
-
-
-def reconstruct_uniform(lb: BranchSet, rb: BranchSet) -> TreeSet:
-    """The uniform subsemigroup with the given branch sets (full branch product)."""
-    if lb.height == 0:
-        return frozenset({LEAF})
-    return frozenset(
-        node(t0, a0, a1, t1) for (t0, a0) in lb.branches for (a1, t1) in rb.branches
     )
 
 
@@ -151,17 +110,6 @@ def path_class(sigma: tuple[int, ...], side: str = "right"):
     return branches, count
 
 
-def _closed_right(paths) -> bool:
-    """Within-layer repleteness of a set of equal-support right paths."""
-    ps = set(paths)
-    for rho in ps:
-        for tau in ps:
-            for j in range(1, len(tau) + 1):
-                if star_right(rho, tau[j - 1:]) not in ps:
-                    return False
-    return True
-
-
 def close_right(paths) -> frozenset:
     """Least within-layer-closed superset of equal-support right paths."""
     ps = set(paths)
@@ -181,10 +129,6 @@ def _reverse_all(paths):
     return frozenset(tuple(reversed(p)) for p in paths)
 
 
-def _closed_left(paths) -> bool:
-    return _closed_right(_reverse_all(paths))
-
-
 def close_left(paths) -> frozenset:
     return _reverse_all(close_right(_reverse_all(paths)))
 
@@ -202,8 +146,9 @@ def closed_path_sets(mask: int) -> tuple[frozenset, ...]:
     out = []
     for r in range(1, len(perms) + 1):
         for combo in itertools.combinations(perms, r):
-            if _closed_right(combo):
-                out.append(frozenset(combo))
+            ps = frozenset(combo)
+            if close_right(ps) == ps:
+                out.append(ps)
     return tuple(sorted(out, key=lambda s: (len(s), sorted(s))))
 
 
@@ -233,7 +178,7 @@ def is_replete(trees, require_subsemigroup: bool = True) -> bool:
     for mask in alphabet_family(ts):
         layer = layer_of(ts, mask)
         lp, rp = _layer_paths(layer)
-        if not (_closed_left(lp) and _closed_right(rp)):
+        if close_left(lp) != lp or close_right(rp) != rp:
             return False
         if expand_layer(mask, lp, rp) != layer:
             return False
@@ -446,10 +391,17 @@ def count_replete(n: int) -> int:
     return sum(1 for _ in enumerate_replete(n))
 
 
+# At n = 5 the count has about a million decimal digits; at n = 6 its
+# computation does not finish.
+MAX_UNIFORM_N = 4
+
+
 def count_uniform(n: int) -> int:
     """Number of inhabited uniform subsemigroups of T_n, in closed form."""
     import math
 
+    if n > MAX_UNIFORM_N:
+        raise CapacityError(f"uniform census supported for n <= {MAX_UNIFORM_N}")
     total = 0
     for k in range(n + 1):
         branches = 1

@@ -114,10 +114,6 @@ def thicket_one(n: int, rig: CoefficientRig = N22) -> Thicket:
     return Thicket(n, {LEAF: 1}, rig)
 
 
-def thicket_of_tree(t: Tree, n: int, rig: CoefficientRig = N22) -> Thicket:
-    return Thicket(n, {t: 1}, rig)
-
-
 def apparity(f: Thicket) -> int:
     """Sum of the coefficients in the coefficient rig."""
     total = 0

@@ -37,6 +37,7 @@ from .subsemigroups import (
     RepleteSubsemigroup,
     alphabet_family,
     close_under_product,
+    count_replete,
     enumerate_replete,
     is_replete,
     is_subsemigroup,
@@ -242,9 +243,18 @@ def eval_expression(expr, n: int) -> ComplementaryTriple:
             return constant(e.value, n)
         if isinstance(e, Gen):
             return gen(e.index, n)
-        if isinstance(e, Add):
-            return triple_add(walk(e.left), walk(e.right))
-        return triple_mul(walk(e.left), walk(e.right))
+        # Fold a left-deep chain of one operator in a loop, so that long
+        # flat sums and products do not recurse once per operand.
+        kind = type(e)
+        op = triple_add if kind is Add else triple_mul
+        rights = []
+        while type(e) is kind:
+            rights.append(e.right)
+            e = e.left
+        out = walk(e)
+        for right in reversed(rights):
+            out = op(out, walk(right))
+        return out
 
     return walk(expr)
 
@@ -271,28 +281,33 @@ def _d_mask_candidates(s: RepleteSubsemigroup) -> list[int]:
     return out
 
 
-def _d_path_options(s: RepleteSubsemigroup, a: int):
-    """Per-candidate-alphabet choices of (leftmost, rightmost) paths for a
-    straggler such that all products with S stay inside S."""
-    lp_of = {mask: frozenset(lp) for mask, lp, _ in s.layers}
-    rp_of = {mask: frozenset(rp) for mask, _, rp in s.layers}
-    members = list(mask_members(a))
-    rights, lefts = [], []
-    for rho in itertools.permutations(members):
+def _compatible_paths(star, paths_of, a: int) -> list:
+    """Paths on alphabet a whose star products with every path of S, in
+    either order, stay among S's paths on the joint alphabet."""
+    return [
+        rho
+        for rho in itertools.permutations(mask_members(a))
         if all(
-            star_right(rho, sigma) in rp_of[a | b] and star_right(sigma, rho) in rp_of[a | b]
-            for b, rp in rp_of.items()
-            for sigma in rp
-        ):
-            rights.append(rho)
-    for lam in itertools.permutations(members):
+            star(rho, sigma) in paths_of[a | b] and star(sigma, rho) in paths_of[a | b]
+            for b, ps in paths_of.items()
+            for sigma in ps
+        )
+    ]
+
+
+def _joint_assignments(star, paths_of, masks, options) -> list[dict]:
+    """Assignments mask -> path, one option per straggler alphabet, whose
+    pairwise star products stay among S's paths."""
+    out = []
+    for combo in itertools.product(*options):
+        assign = dict(zip(masks, combo))
         if all(
-            star_left(lam, sigma) in lp_of[a | b] and star_left(sigma, lam) in lp_of[a | b]
-            for b, lp in lp_of.items()
-            for sigma in lp
+            star(assign[a], assign[b]) in paths_of[a | b]
+            and star(assign[b], assign[a]) in paths_of[a | b]
+            for a, b in itertools.combinations(masks, 2)
         ):
-            lefts.append(lam)
-    return lefts, rights
+            out.append(assign)
+    return out
 
 
 def _d_configs(s: RepleteSubsemigroup):
@@ -301,11 +316,15 @@ def _d_configs(s: RepleteSubsemigroup):
     if s.unit:
         return
     family = _family_masks(s)
-    candidates = _d_mask_candidates(s)
-    options = {a: _d_path_options(s, a) for a in candidates}
-    candidates = [a for a in candidates if options[a][0] and options[a][1]]
-    rp_of = {mask: frozenset(rp) for mask, _, rp in s.layers}
     lp_of = {mask: frozenset(lp) for mask, lp, _ in s.layers}
+    rp_of = {mask: frozenset(rp) for mask, _, rp in s.layers}
+    # Per candidate alphabet, the (leftmost, rightmost) paths a straggler may
+    # have so that all its products with S stay inside S.
+    options = {
+        a: (_compatible_paths(star_left, lp_of, a), _compatible_paths(star_right, rp_of, a))
+        for a in _d_mask_candidates(s)
+    }
+    candidates = [a for a, (lefts, rights) in options.items() if lefts and rights]
     for r in range(1, len(candidates) + 1):
         for masks in itertools.combinations(candidates, r):
             if any(
@@ -313,24 +332,12 @@ def _d_configs(s: RepleteSubsemigroup):
                 for a, b in itertools.combinations(masks, 2)
             ):
                 continue
-            right_assigns = []
-            for combo in itertools.product(*(options[a][1] for a in masks)):
-                assign = dict(zip(masks, combo))
-                if all(
-                    star_right(assign[a], assign[b]) in rp_of[a | b]
-                    and star_right(assign[b], assign[a]) in rp_of[a | b]
-                    for a, b in itertools.combinations(masks, 2)
-                ):
-                    right_assigns.append(assign)
-            left_assigns = []
-            for combo in itertools.product(*(options[a][0] for a in masks)):
-                assign = dict(zip(masks, combo))
-                if all(
-                    star_left(assign[a], assign[b]) in lp_of[a | b]
-                    and star_left(assign[b], assign[a]) in lp_of[a | b]
-                    for a, b in itertools.combinations(masks, 2)
-                ):
-                    left_assigns.append(assign)
+            left_assigns = _joint_assignments(
+                star_left, lp_of, masks, [options[a][0] for a in masks]
+            )
+            right_assigns = _joint_assignments(
+                star_right, rp_of, masks, [options[a][1] for a in masks]
+            )
             for la in left_assigns:
                 for ra in right_assigns:
                     yield masks, la, ra
@@ -398,8 +405,18 @@ def sample_triples(n: int, count: int, seed: int = 0) -> list[ComplementaryTripl
 # Counting
 
 
+# Past these sizes a closed-form census has more than 4300 decimal digits
+# (Python's default limit for converting an int to text) or, for the
+# Boolean-semiring count, scans 2^32 families of alphabets.
+MAX_BOUNDS_N = 3
+MAX_VARIANT_02_N = 13
+MAX_BOOLEAN_SEMIRING_N = 4
+
+
 def mirig_upper_bounds(n: int) -> tuple[int, int]:
     """(crude, refined) upper bounds for the free mirig size."""
+    if n > MAX_BOUNDS_N:
+        raise CapacityError(f"upper bounds supported for n <= {MAX_BOUNDS_N}")
     m = count_free_monoid(n)
     return 4 ** m, 4 ** (m - 1) + 3 * 3 ** (m - 1)
 
@@ -413,6 +430,19 @@ def _minimal_single_path_masks(s: RepleteSubsemigroup) -> list[int]:
         ):
             out.append(mask)
     return out
+
+
+def _straggler_subset_sum(s: RepleteSubsemigroup, base: int) -> int:
+    """Sum, over the sets e of minimal single-path layers of s that
+    stragglers stand in for, of the straggler choices on e times
+    base ** (the number of layers outside e)."""
+    singles = _minimal_single_path_masks(s)
+    total = 0
+    for r in range(len(singles) + 1):
+        for e in itertools.combinations(singles, r):
+            q = math.prod(path_class_size(mask_size(a)) ** 2 for a in e)
+            total += base ** (len(s.layers) - r) * q
+    return total
 
 
 def count_free_mirig(n: int, strategy: str = "grouped") -> int:
@@ -429,19 +459,11 @@ def count_free_mirig(n: int, strategy: str = "grouped") -> int:
         )
     if strategy != "grouped":
         raise ValueError("strategy must be 'triples' or 'grouped'")
-    total = 0
-    for s in enumerate_replete(n):
-        if s.unit:
-            continue
-        n_alphas = len(s.layers)
-        inner = 0
-        singles = _minimal_single_path_masks(s)
-        for r in range(len(singles) + 1):
-            for e in itertools.combinations(singles, r):
-                q = math.prod(path_class_size(mask_size(a)) ** 2 for a in e)
-                inner += 2 ** (n_alphas - r) * q
-        total += 3 * 2 ** n_alphas + inner
-    return total
+    return sum(
+        3 * 2 ** len(s.layers) + _straggler_subset_sum(s, 2)
+        for s in enumerate_replete(n)
+        if not s.unit
+    )
 
 
 def _upward_closed_families(n: int) -> Iterator[frozenset[int]]:
@@ -461,32 +483,27 @@ def _upward_closed_families(n: int) -> Iterator[frozenset[int]]:
 VARIANTS = ("11", "21", "12", "02", "boolean_semiring")
 
 
-def count_characteristic_variant(n: int, variant) -> int:
+def count_characteristic_variant(n: int, variant: str) -> int:
     """Counts for the characteristic quotients and the Boolean-semiring one."""
-    if isinstance(variant, tuple):
-        variant = f"{variant[0]}{variant[1]}"
     if variant == "11":
-        return sum(1 for _ in enumerate_replete(n))
+        return count_replete(n)
     if variant == "21":
-        total = 0
-        for s in enumerate_replete(n):
-            if s.unit:
-                continue
-            singles = _minimal_single_path_masks(s)
-            inner = 0
-            for r in range(len(singles) + 1):
-                for e in itertools.combinations(singles, r):
-                    inner += math.prod(
-                        path_class_size(mask_size(a)) ** 2 for a in e
-                    )
-            total += 2 + inner
-        return total
+        # Characteristic (2,1) records no parity, hence base 1.
+        return sum(
+            2 + _straggler_subset_sum(s, 1) for s in enumerate_replete(n) if not s.unit
+        )
     if variant == "12":
         return 3 * sum(
             2 ** len(s.layers) for s in enumerate_replete(n) if not s.unit
         )
     if variant == "02":
+        if n > MAX_VARIANT_02_N:
+            raise CapacityError(f"variant 02 census supported for n <= {MAX_VARIANT_02_N}")
         return 2 ** (2 ** n)
     if variant == "boolean_semiring":
+        if n > MAX_BOOLEAN_SEMIRING_N:
+            raise CapacityError(
+                f"boolean_semiring census supported for n <= {MAX_BOOLEAN_SEMIRING_N}"
+            )
         return sum(2 ** len(fam) for fam in _upward_closed_families(n))
     raise ValueError(f"unsupported variant {variant!r}")

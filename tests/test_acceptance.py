@@ -41,6 +41,7 @@ from mirigs.triples import (
     triple_mul,
     zero,
 )
+from mirigs.verify import PINNED
 
 
 def report(num, ok, detail):
@@ -55,7 +56,7 @@ def test_criterion_01_free_monoid_sizes():
         sum(len(enumerate_trees(mask)) for mask in range(1 << n)) for n in range(4)
     ]
     elapsed = time.monotonic() - start
-    ok = sizes == [1, 2, 7, 160] and totals == sizes and elapsed < 1.0
+    ok = sizes == PINNED["monoid sizes"] and totals == sizes and elapsed < 1.0
     assert report(1, ok, f"sizes {sizes}, enumeration totals agree, {elapsed:.2f}s")
 
 
@@ -98,11 +99,12 @@ def test_criterion_03_subsemigroup_census():
     counts = [count_replete(n) for n in range(4)]
     formulas = (count_replete_bounded_height(3, 2), count_replete_bounded_height(3, 3))
     elapsed = time.monotonic() - start
+    bounded = PINNED["height-bounded replete"]
     ok = (
-        len(subs) == 42
+        len(subs) == PINNED["subsemigroups of T_2"]
         and all_replete
-        and counts == [2, 4, 42, 18030]
-        and formulas == (116, 18030)
+        and counts == PINNED["replete counts"]
+        and formulas == (bounded[3, 2], bounded[3, 3])
         and elapsed < 60.0
     )
     assert report(3, ok, f"42 subsemigroups all replete, counts {counts}, formulas {formulas}, {elapsed:.1f}s")
@@ -112,7 +114,7 @@ def test_criterion_04_path_sets():
     start = time.monotonic()
     count = len(closed_path_sets(0b111))
     elapsed = time.monotonic() - start
-    ok = count == 22 and elapsed < 1.0
+    ok = count == PINNED["closed path sets h=3"] and elapsed < 1.0
     assert report(4, ok, f"{count} inhabited closed path sets, {elapsed:.2f}s")
 
 
@@ -122,7 +124,7 @@ def test_criterion_05_free_mirig_counts():
     dominated = [count_free_mirig(n, "triples") for n in range(4)]
     elapsed = time.monotonic() - start
     agree = grouped == dominated
-    expected = [4, 13, 284, 510605]
+    expected = PINNED["mirig sizes"]
     ok = agree and grouped == expected and elapsed < 300.0
     report(5, ok, f"grouped {grouped}, strategies agree: {agree}, {elapsed:.1f}s")
     # The n=3 pin is the previously published figure.  Both strategies here
@@ -145,7 +147,7 @@ def test_criterion_06_thicket_oracle():
             firsts[label] = node
         elif label not in seconds:
             seconds[label] = node
-    ok = counts == [13, 284]
+    ok = counts == PINNED["mirig sizes"][1:3]
     for label, node in firsts.items():
         rep = normalize_thicket(graph.thicket_of_node(node))
         if label in seconds:
@@ -203,7 +205,7 @@ def test_criterion_08_canonical_roundtrip(c2_elements):
         c for c in c2_elements if normalize_thicket(triple_canonical_thicket(c)) != c
     ]
     elapsed = time.monotonic() - start
-    ok = len(c2_elements) == 284 and not failures
+    ok = len(c2_elements) == PINNED["mirig sizes"][2] and not failures
     assert report(8, ok, f"roundtrip exact on all 284 elements, {elapsed:.1f}s")
 
 
@@ -216,24 +218,16 @@ def test_criterion_09_noncommutativity():
     elapsed = time.monotonic() - start
     ok = (
         ab != ba
-        and rig.size() == 9
-        and axioms.ok
+        and (rig.size(), axioms.ok, axioms.commutative, characteristic(rig))
+        == PINNED["monoid-adjunction mirig n=2"]
         and axioms.mirig
-        and not axioms.commutative
-        and characteristic(rig) == (2, 1)
     )
     assert report(9, ok, f"ab != ba in the free mirig; 9-element noncommutative mirig, {elapsed:.2f}s")
 
 
 def test_criterion_10_characteristic_variants():
     start = time.monotonic()
-    expected = {
-        "11": [2, 4, 42, 18030],
-        "21": [3, 7, 80, 40601],
-        "12": [3, 9, 189, 160389],
-        "02": [2, 4, 16, 256],
-        "boolean_semiring": [3, 7, 35, 775],
-    }
+    expected = PINNED["variant counts"]
     computed = {
         v: [count_characteristic_variant(n, v) for n in range(4)] for v in expected
     }
@@ -257,5 +251,5 @@ def test_criterion_11_bounds():
     start = time.monotonic()
     bounds = (mirig_upper_bounds(1), mirig_upper_bounds(2))
     elapsed = time.monotonic() - start
-    ok = bounds == ((16, 13), (16384, 6283))
+    ok = list(bounds) == PINNED["mirig upper bounds"]
     assert report(11, ok, f"bounds {bounds}, {elapsed:.2f}s")

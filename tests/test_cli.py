@@ -1,16 +1,43 @@
 import io
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from mirigs.cli import main
+from mirigs.expressions import MAX_NESTING
 from mirigs.subsemigroups import RepleteSubsemigroup
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+CHILD_ADDRESS_SPACE = 1 << 30
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _limit_child_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (CHILD_ADDRESS_SPACE, CHILD_ADDRESS_SPACE))
+
+
+def run_child(*argv):
+    """Run the CLI in a fresh interpreter with a 1 GiB address-space limit
+    and a 60 s timeout, so that a regression fails instead of exhausting
+    the machine."""
+    return subprocess.run(
+        [sys.executable, "-m", "mirigs", *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        preexec_fn=_limit_child_memory,
+    )
 
 
 class TestWordCommands:
@@ -92,6 +119,56 @@ class TestCounts:
     def test_capacity_error_names_bound(self, capsys):
         code, _, err = run(capsys, "count", "mirig", "--n", "9")
         assert code == 1 and "n <= 3" in err
+
+
+class TestFailFast:
+    @pytest.mark.parametrize(
+        "argv,limit",
+        [
+            (("count", "uniform", "--n", "5"), "n <= 4"),
+            (("count", "uniform", "--n", "6"), "n <= 4"),
+            (("count", "monoid", "--n", "14"), "n <= 13"),
+            (("count", "variant", "--variant", "02", "--n", "14"), "n <= 13"),
+            (("bounds", "--n", "4"), "n <= 3"),
+            (("count", "variant", "--variant", "boolean_semiring", "--n", "5"), "n <= 4"),
+        ],
+    )
+    def test_census_past_capacity_exits_1(self, argv, limit):
+        proc = run_child(*argv)
+        assert proc.returncode == 1
+        assert limit in proc.stderr and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("count", "uniform", "--n", "4"),
+            ("count", "monoid", "--n", "13"),
+            ("count", "variant", "--variant", "02", "--n", "13"),
+            ("bounds", "--n", "3"),
+            ("count", "variant", "--variant", "boolean_semiring", "--n", "4"),
+        ],
+    )
+    def test_largest_census_answers(self, argv):
+        proc = run_child(*argv)
+        assert proc.returncode == 0 and proc.stdout.strip() and not proc.stderr
+
+    def test_deep_nesting_exits_2(self):
+        depth = 3000
+        proc = run_child("eval", "--n", "1", "(" * depth + "a" + ")" * depth)
+        assert proc.returncode == 2
+        assert f"at byte {MAX_NESTING}" in proc.stderr and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "expression,expected",
+        [
+            ("+".join(["a"] * 3000), "S = {a}\nD = {}\nodd parities = {}\n"),
+            ("*".join(["a"] * 1500), "S = {}\nD = {a}\nodd parities = {a}\n"),
+        ],
+        ids=["sum-3000", "product-1500"],
+    )
+    def test_long_chains_answer(self, expression, expected):
+        proc = run_child("eval", "--n", "1", expression)
+        assert proc.returncode == 0 and proc.stdout == expected
 
 
 class TestEnumerate:

@@ -1,7 +1,15 @@
 import pytest
 
 from mirigs.errors import ParseError
-from mirigs.expressions import Add, Const, Gen, Mul, max_generator, parse_expression
+from mirigs.expressions import (
+    MAX_NESTING,
+    Add,
+    Const,
+    Gen,
+    Mul,
+    max_generator,
+    parse_expression,
+)
 
 
 def test_precedence():
@@ -37,3 +45,19 @@ def test_errors_carry_offsets(text, offset):
     with pytest.raises(ParseError) as info:
         parse_expression(text)
     assert info.value.offset == offset
+
+
+def test_nesting_cap():
+    inner = "(" * MAX_NESTING + "a" + ")" * MAX_NESTING
+    assert parse_expression(inner) == Gen(0)
+    with pytest.raises(ParseError) as info:
+        parse_expression("b*(" + inner + ")")
+    assert info.value.offset == 2 + MAX_NESTING  # the first '(' past the cap
+
+
+def test_max_generator_any_depth():
+    assert max_generator(parse_expression("+".join("abcd" * 1000))) == 3
+    deep = Gen(0)
+    for i in range(5000):
+        deep = Mul(Gen(i % 5), deep)
+    assert max_generator(deep) == 4

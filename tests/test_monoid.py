@@ -6,7 +6,6 @@ from mirigs.monoid import (
     LEAF,
     count_free_monoid,
     enumerate_trees,
-    extremal_path,
     gen_tree,
     grf,
     is_left_factor,
@@ -15,13 +14,11 @@ from mirigs.monoid import (
     mask_of,
     parse_tree,
     parse_word,
-    path_star,
     render_tree,
     render_word,
     rmp,
     shortest_word,
     star_right,
-    star_right_j,
     tree_of_word,
     tree_product,
     word_alphabet,
@@ -219,14 +216,8 @@ class TestPaths:
     def test_star_examples(self):
         assert star_right((0, 1, 2), (2,)) == (0, 1, 2)
         assert star_right((0, 1), (1, 0)) == (1, 0)
-        assert star_right_j((0, 2, 1), (2, 1, 0), 3) == (2, 1, 0)
-
-    def test_path_star_type(self):
-        r1 = extremal_path(t("bcac"), "right")
-        r2 = extremal_path(t("ab"), "right")
-        assert path_star(r1, r2).seq == star_right((1, 0, 2), (0, 1))
-        with pytest.raises(ValueError):
-            path_star(r1, extremal_path(t("ab"), "left"))
+        # against a suffix of the second path, as the within-layer closure uses it
+        assert star_right((0, 2, 1), (2, 1, 0)[2:]) == (2, 1, 0)
 
     @given(words(3, 7), words(3, 7))
     def test_rmp_homomorphism(self, w1, w2):
@@ -246,11 +237,12 @@ class TestPaths:
         assert mask_of(lmp(tree)) == tree.alpha
 
     def test_equal_support_star_j_automatic(self):
-        # with equal supports and j in {1, 2} the result is the second path
+        # with equal supports, starring against sigma or against sigma minus
+        # its first entry gives sigma
         for rho in ((0, 1, 2), (2, 0, 1)):
             for sigma in ((1, 2, 0), (2, 1, 0)):
-                assert star_right_j(rho, sigma, 1) == sigma
-                assert star_right_j(rho, sigma, 2) == sigma
+                assert star_right(rho, sigma) == sigma
+                assert star_right(rho, sigma[1:]) == sigma
 
 
 class TestEnumerationAndCounting:

@@ -12,13 +12,12 @@ from mirigs.monoid import (
     enumerate_trees,
     gen_tree,
     mask_of,
+    node,
     tree_product,
 )
 from mirigs.subsemigroups import (
-    BranchSet,
     RepleteSubsemigroup,
     alphabet_family,
-    branch_sets,
     close_under_product,
     closed_path_sets,
     count_replete,
@@ -30,7 +29,6 @@ from mirigs.subsemigroups import (
     is_subsemigroup,
     path_class,
     path_class_size,
-    reconstruct_uniform,
     replete_closure,
     replete_closure_trees,
     xy_factor,
@@ -172,38 +170,22 @@ class TestRepleteClosure:
 
 
 class TestBranchSets:
-    def test_example(self):
-        s = {t("ab"), t("aba")}
-        lb, rb = branch_sets(s, mask_of([0, 1]))
-        assert lb.branches == {(gen_tree(0), 1)}
-        assert rb.branches == {(0, gen_tree(1)), (1, gen_tree(0))}
-
-    def test_full_fiber(self):
-        s = set(enumerate_trees(mask_of([0, 1])))
-        lb, rb = branch_sets(s, mask_of([0, 1]))
-        assert len(lb.branches) == 2 and len(rb.branches) == 2
-
-    def test_trivial_convention(self):
-        lb, rb = branch_sets({LEAF}, 0)
-        assert lb == BranchSet("left", 0, frozenset({()}))
-        assert rb == BranchSet("right", 0, frozenset({()}))
-        assert reconstruct_uniform(lb, rb) == {LEAF}
-
-    def test_empty_fiber(self):
-        with pytest.raises(ValueError):
-            branch_sets({t("ab")}, mask_of([0]))
-
     def test_reconstruction_theorem(self):
         # every uniform layer of every enumerated replete subsemigroup is
-        # the full product of its branch sets
+        # the full product of its left branches (t.left, t.a0) and right
+        # branches (t.a1, t.right)
         rng = random.Random(1)
         pool = list(enumerate_replete(2)) + rng.sample(list(enumerate_replete(3)), 60)
         for r in pool:
             trees = r.trees()
-            for mask in alphabet_family(trees):
+            for mask in alphabet_family(trees) - {0}:
                 layer = frozenset(x for x in trees if x.alpha == mask)
-                lb, rb = branch_sets(trees, mask)
-                assert reconstruct_uniform(lb, rb) == layer
+                lefts = {(x.left, x.a0) for x in layer}
+                rights = {(x.a1, x.right) for x in layer}
+                rebuilt = {
+                    node(t0, a0, a1, t1) for t0, a0 in lefts for a1, t1 in rights
+                }
+                assert rebuilt == layer
 
     def test_uniform_census_small(self):
         # product-closed subsets of the two-generator fiber = branch products

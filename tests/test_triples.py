@@ -331,9 +331,6 @@ class TestCounting:
         for variant, values in expected.items():
             assert [count_characteristic_variant(n, variant) for n in range(3)] == values
 
-    def test_variants_accept_tuples(self):
-        assert count_characteristic_variant(2, (2, 1)) == 80
-
     def test_variants_n3(self):
         assert count_characteristic_variant(3, "11") == 18030
         assert count_characteristic_variant(3, "21") == 40601
