@@ -9,6 +9,7 @@ import sys
 from . import __version__
 from .errors import CapacityError, ParseError
 from .monoid import (
+    MAX_SHORTEST_ALPHABET,
     count_free_monoid,
     letter,
     mask_members,
@@ -70,12 +71,17 @@ def _infer_n(words, given):
 def cmd_word_normalize(args) -> int:
     w = parse_word(_payload(args.word), args.n)
     t = tree_of_word(w)
-    shortest = render_word(shortest_word(t))
+    # No shortest word past the search's alphabet cap: JSON gives null and
+    # text leaves the line out.
+    shortest = None
+    if t.height <= MAX_SHORTEST_ALPHABET:
+        shortest = render_word(shortest_word(t))
     if args.format == "json":
         print(json.dumps({"tree": render_tree(t), "shortest": shortest}))
     else:
         print(f"tree: {render_tree(t)}")
-        print(f"shortest: {shortest or '1'}")
+        if shortest is not None:
+            print(f"shortest: {shortest or '1'}")
     return 0
 
 
@@ -91,6 +97,11 @@ def cmd_word_eq(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.format == "text" and args.n > MAX_SHORTEST_ALPHABET:
+        raise CapacityError(
+            "text output lists S by shortest words, supported for "
+            f"n <= {MAX_SHORTEST_ALPHABET}; use --format json"
+        )
     c = eval_expression(_payload(args.expression), args.n)
     if args.format == "json":
         print(json.dumps(c.to_json()))

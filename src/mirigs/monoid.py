@@ -276,14 +276,14 @@ def star_right(rho, sigma):
 
     Keeps the entries of rho not occurring in sigma (in order), then sigma.
     """
-    drop = set(sigma)
-    return tuple(x for x in rho if x not in drop) + tuple(sigma)
+    sigma = tuple(sigma)
+    return tuple([x for x in rho if x not in sigma]) + sigma
 
 
 def star_left(rho, sigma):
     """lmp analogue: lmp(s*t) = star_left(lmp s, lmp t)."""
-    keep = set(rho)
-    return tuple(rho) + tuple(x for x in sigma if x not in keep)
+    rho = tuple(rho)
+    return rho + tuple([x for x in sigma if x not in rho])
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from .monoid import (
     letter,
     lmp,
     mask_members,
+    mask_of,
     mask_size,
     node,
     parse_word,
@@ -44,7 +45,11 @@ _product_closure_cache: dict[TreeSet, TreeSet] = {}
 
 
 def close_under_product(trees) -> TreeSet:
-    """Least product-closed superset of the given trees."""
+    """Least product-closed superset of the given trees.
+
+    Tree-level, exponential in the alphabet size: the library computes
+    closures on path systems (close_path_system), and this stays as the
+    independent route that the tests compare against."""
     key = frozenset(trees)
     cached = _product_closure_cache.get(key)
     if cached is not None:
@@ -166,6 +171,71 @@ def expand_layer(mask: int, left_paths, right_paths) -> TreeSet:
     return frozenset(out)
 
 
+# ---------------------------------------------------------------------------
+# Path systems
+#
+# The leftmost paths of a tree set form its left path system, the rightmost
+# paths its right one.  A path's letters are its tree's alphabet, so a path
+# system falls into one layer per alphabet; the trivial tree's path is the
+# empty one, on alphabet 0.  Since lmp(s*t) = star_left(lmp s, lmp t) and
+# rmp(s*t) = star_right(rmp s, rmp t), the paths of a product closure are
+# the star closure of the paths, each side on its own.  A replete layer is
+# the full branch product of its path classes, so the least replete
+# subsemigroup containing a tree set depends only on its two path systems.
+
+
+def _close_rights(paths, replete: bool) -> frozenset:
+    """Star closure of a right path system, and with replete the
+    within-layer closure too, each new path met with every path so far."""
+    layers: dict[int, set] = {}
+    for p in paths:
+        layers.setdefault(mask_of(p), set()).add(p)
+    frontier = [(a, p) for a, ps in layers.items() for p in ps]
+    while True:
+        while frontier:
+            fresh = []
+            for a, p in frontier:
+                for b, qs in list(layers.items()):
+                    if a == b:
+                        continue
+                    target = layers.setdefault(a | b, set())
+                    for q in list(qs):
+                        # star_right(x, y) is y when x's alphabet lies in y's.
+                        pq = star_right(p, q) if a & ~b else q
+                        qp = star_right(q, p) if b & ~a else p
+                        for r in (pq, qp):
+                            if r not in target:
+                                target.add(r)
+                                fresh.append((a | b, r))
+            frontier = fresh
+        if not replete:
+            break
+        for a, ps in layers.items():
+            if a:
+                frontier += [(a, p) for p in close_right(ps) - ps]
+        if not frontier:
+            break
+        for a, p in frontier:
+            layers[a].add(p)
+    return frozenset(p for ps in layers.values() for p in ps)
+
+
+def _mirror(paths) -> frozenset:
+    return frozenset(p[::-1] for p in paths)
+
+
+def close_path_system(lefts, rights, replete: bool = False) -> tuple[frozenset, frozenset]:
+    """Least (left, right) path systems containing the given ones and closed
+    under star_left/star_right products across layers; with replete, also
+    under close_left/close_right within each layer.
+
+    The replete closure is the path systems of the least replete
+    subsemigroup containing any tree set with the given paths.  The left
+    side is the mirror image of the right: star_left(p, q) reversed is
+    star_right(q reversed, p reversed)."""
+    return _mirror(_close_rights(_mirror(lefts), replete)), _close_rights(rights, replete)
+
+
 def _layer_paths(layer):
     return frozenset(lmp(t) for t in layer), frozenset(rmp(t) for t in layer)
 
@@ -214,7 +284,10 @@ _replete_closure_cache: dict[TreeSet, TreeSet] = {}
 
 
 def replete_closure_trees(trees) -> TreeSet:
-    """Least replete subsemigroup containing the given trees, as a tree set."""
+    """Least replete subsemigroup containing the given trees, as a tree set.
+
+    Tree-level, like close_under_product: the independent route to
+    close_path_system(..., replete=True)."""
     key = frozenset(trees)
     cached = _replete_closure_cache.get(key)
     if cached is not None:
@@ -272,11 +345,38 @@ class RepleteSubsemigroup:
             layer_dict[mask] = (lp, rp)
         return RepleteSubsemigroup.from_layer_dict(n, LEAF in ts, layer_dict)
 
+    @staticmethod
+    def from_paths(n, lefts, rights) -> "RepleteSubsemigroup":
+        """From replete-closed left and right path systems (see
+        close_path_system)."""
+        layer_dict: dict[int, tuple[list, list]] = {}
+        for side, paths in enumerate((lefts, rights)):
+            for p in paths:
+                if p:
+                    layer_dict.setdefault(mask_of(p), ([], []))[side].append(p)
+        return RepleteSubsemigroup.from_layer_dict(n, () in rights, layer_dict)
+
+    # paths() and alphabet_masks() are computed once per object and kept
+    # in its __dict__, outside the dataclass fields.
+
+    def paths(self) -> tuple[frozenset, frozenset]:
+        """The left and right path systems, with () for the trivial tree."""
+        out = self.__dict__.get("_paths")
+        if out is None:
+            unit = [()] if self.unit else []
+            out = (
+                frozenset(unit + [p for _, lp, _ in self.layers for p in lp]),
+                frozenset(unit + [p for _, _, rp in self.layers for p in rp]),
+            )
+            object.__setattr__(self, "_paths", out)
+        return out
+
     def alphabet_masks(self) -> frozenset[int]:
-        masks = {mask for mask, _, _ in self.layers}
-        if self.unit:
-            masks.add(0)
-        return frozenset(masks)
+        out = self.__dict__.get("_masks")
+        if out is None:
+            out = frozenset([0] if self.unit else []) | {mask for mask, _, _ in self.layers}
+            object.__setattr__(self, "_masks", out)
+        return out
 
     def trees(self) -> TreeSet:
         return _expand_replete(self)

@@ -13,6 +13,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import FrozenSet, Iterator
 
 from .errors import CapacityError
@@ -22,11 +23,14 @@ from .monoid import (
     Tree,
     count_free_monoid,
     gen_tree,
+    lmp,
     mask_members,
+    mask_of,
     mask_size,
     node,
     parse_tree,
     render_tree,
+    rmp,
     star_left,
     star_right,
     tree_product,
@@ -34,16 +38,16 @@ from .monoid import (
     trees_with_rmp,
 )
 from .subsemigroups import (
+    MAX_REPLETE_N,
     RepleteSubsemigroup,
-    alphabet_family,
-    close_under_product,
+    close_path_system,
+    close_under_product,  # not called here; perfbench wraps it as triples.close_under_product
     count_replete,
     enumerate_replete,
     is_replete,
     is_subsemigroup,
     layer_of,
     path_class_size,
-    replete_closure_trees,
 )
 from .thickets import Thicket, apparity_by_alphabet
 from .quotients import N22
@@ -79,23 +83,24 @@ class ComplementaryTriple:
         return ComplementaryTriple(s.n, s, d, frozenset(data["p"]))
 
 
-def _triple(n: int, s_trees, d, odd) -> ComplementaryTriple:
-    s = RepleteSubsemigroup.from_trees(n, s_trees, validate=False)
+def _triple(n: int, unit: bool, d, odd) -> ComplementaryTriple:
+    """A triple whose S holds at most the trivial tree."""
+    s = RepleteSubsemigroup(n, unit, ())
     return ComplementaryTriple(n, s, frozenset(d), frozenset(odd))
 
 
 def zero(n: int) -> ComplementaryTriple:
-    return _triple(n, (), (), ())
+    return _triple(n, False, (), ())
 
 
 def one(n: int) -> ComplementaryTriple:
-    return _triple(n, (), {LEAF}, {0})
+    return _triple(n, False, {LEAF}, {0})
 
 
 def gen(i: int, n: int) -> ComplementaryTriple:
     if not 0 <= i < n:
         raise ValueError(f"generator {i} out of range for n={n}")
-    return _triple(n, (), {gen_tree(i)}, {1 << i})
+    return _triple(n, False, {gen_tree(i)}, {1 << i})
 
 
 def constant(k: int, n: int) -> ComplementaryTriple:
@@ -105,7 +110,7 @@ def constant(k: int, n: int) -> ComplementaryTriple:
         return zero(n)
     if k == 1:
         return one(n)
-    return _triple(n, {LEAF}, (), {0} if k % 2 else ())
+    return _triple(n, True, (), {0} if k % 2 else ())
 
 
 def validate_triple(c: ComplementaryTriple) -> None:
@@ -133,6 +138,49 @@ def validate_triple(c: ComplementaryTriple) -> None:
 
 
 # ---------------------------------------------------------------------------
+# Closing up: path systems -> triple
+#
+# The carrier of a sum or product, or a thicket's support, generates a
+# product-closed tree set.  Its stragglers are the trees alone on a minimal
+# alphabet, which no other tree reaches, so they are told apart by
+# alphabets alone; the rest closes up to the least replete subsemigroup,
+# which depends only on the path systems (see close_path_system).
+
+
+def _carrier_paths(c: ComplementaryTriple) -> tuple[frozenset, frozenset]:
+    lefts, rights = c.s.paths()
+    if c.d:
+        lefts = lefts | {lmp(t) for t in c.d}
+        rights = rights | {rmp(t) for t in c.d}
+    return lefts, rights
+
+
+# Bound on the memo of replete parts: arithmetic and normalization repeat
+# their closure inputs often.
+REPLETE_PART_MEMO = 4096
+
+
+@lru_cache(maxsize=REPLETE_PART_MEMO)
+def _replete_part(n: int, lefts: frozenset, rights: frozenset, drop: frozenset):
+    """The least replete subsemigroup over the closure of the path systems,
+    less the layers on the alphabets in drop."""
+    if drop:
+        # The dropped layers take part in products before they are split off.
+        lefts, rights = close_path_system(lefts, rights)
+        lefts = [p for p in lefts if mask_of(p) not in drop]
+        rights = [p for p in rights if mask_of(p) not in drop]
+    return RepleteSubsemigroup.from_paths(n, *close_path_system(lefts, rights, replete=True))
+
+
+def _close_up(n: int, lefts, rights, stragglers, odd) -> ComplementaryTriple:
+    """The triple with the given stragglers and parity whose S closes up
+    the path systems without the straggler layers."""
+    drop = frozenset(t.alpha for t in stragglers)
+    s = _replete_part(n, frozenset(lefts), frozenset(rights), drop)
+    return ComplementaryTriple(n, s, frozenset(stragglers), frozenset(odd))
+
+
+# ---------------------------------------------------------------------------
 # Normalization: thicket -> triple and triple -> canonical thicket
 
 
@@ -148,20 +196,21 @@ def normalize_thicket(f: Thicket) -> ComplementaryTriple:
         raise ValueError("normalization expects quotient coefficients (2,2)")
     if f.is_zero():
         return zero(f.n)
-    support = f.support()
-    closed = close_under_product(support)
-    family = alphabet_family(closed)
-    minimal = {
-        a for a in family if not any(b != a and b & a == b for b in family)
+    layer_sizes: dict[int, int] = {}
+    for t, _ in f.items():
+        layer_sizes[t.alpha] = layer_sizes.get(t.alpha, 0) + 1
+    stragglers = {
+        t
+        for t, coeff in f.items()
+        if coeff == 1
+        and layer_sizes[t.alpha] == 1
+        and not any(b != t.alpha and b & t.alpha == b for b in layer_sizes)
     }
-    stragglers = set()
-    for t, coeff in f.items():
-        if coeff == 1 and t.alpha in minimal and len(layer_of(support, t.alpha)) == 1:
-            stragglers.add(t)
-    s_trees = replete_closure_trees(closed - stragglers)
     parity = apparity_by_alphabet(f)
     odd = {a for a, value in parity.items() if value % 2 == 1}
-    return _triple(f.n, s_trees, stragglers, odd)
+    lefts = {lmp(t) for t, _ in f.items()}
+    rights = {rmp(t) for t, _ in f.items()}
+    return _close_up(f.n, lefts, rights, stragglers, odd)
 
 
 def triple_canonical_thicket(c: ComplementaryTriple) -> Thicket:
@@ -190,49 +239,57 @@ def _check_same(c1, c2):
 
 
 def _product_stragglers(c1, c2):
-    left, right = c1.carrier(), c2.carrier()
+    """The products t*u of stragglers t of c1 and u of c2 whose alphabet
+    holds the product of no other pair of carrier trees.  S's layers and the
+    stragglers all have distinct alphabets, so alphabets decide it."""
+    if not (c1.d and c2.d):
+        return set()
+    joint = [a1 | a2 for a1 in c1.alphabet_masks() for a2 in c2.alphabet_masks()]
     out = set()
     for t in c1.d:
         for u in c2.d:
             a = t.alpha | u.alpha
-            if all(
-                (s is t and v is u) or (s.alpha | v.alpha) & ~a
-                for s in left
-                for v in right
-            ):
+            if sum(1 for b in joint if not b & ~a) == 1:
                 out.add(tree_product(t, u))
     return out
 
 
 def triple_mul(c1: ComplementaryTriple, c2: ComplementaryTriple) -> ComplementaryTriple:
     _check_same(c1, c2)
-    left, right = c1.carrier(), c2.carrier()
-    products = {tree_product(s, v) for s in left for v in right}
-    stragglers = _product_stragglers(c1, c2)
-    # The stragglers stay lonely on minimal alphabets, so they can be split
-    # off only after the pairwise products are closed up.
-    s_trees = replete_closure_trees(close_under_product(products) - stragglers)
+    l1, r1 = _carrier_paths(c1)
+    l2, r2 = _carrier_paths(c2)
+    lefts = {star_left(p, q) for p in l1 for q in l2}
+    rights = {star_right(p, q) for p in r1 for q in r2}
     odd = set()
     for a1 in c1.odd:
         for a2 in c2.odd:
             odd ^= {a1 | a2}
-    return _triple(c1.n, s_trees, stragglers, odd)
+    return _close_up(c1.n, lefts, rights, _product_stragglers(c1, c2), odd)
 
 
 def triple_add(c1: ComplementaryTriple, c2: ComplementaryTriple) -> ComplementaryTriple:
     _check_same(c1, c2)
-    left, right = c1.carrier(), c2.carrier()
+    m1, m2 = c1.alphabet_masks(), c2.alphabet_masks()
     stragglers = {
-        t for t in c1.d if all(v.alpha & ~t.alpha for v in right)
+        t for t in c1.d if all(b & ~t.alpha for b in m2)
     } | {
-        u for u in c2.d if all(s.alpha & ~u.alpha for s in left)
+        u for u in c2.d if all(b & ~u.alpha for b in m1)
     }
-    s_trees = replete_closure_trees(close_under_product(left | right) - stragglers)
-    return _triple(c1.n, s_trees, stragglers, c1.odd ^ c2.odd)
+    l1, r1 = _carrier_paths(c1)
+    l2, r2 = _carrier_paths(c2)
+    return _close_up(c1.n, l1 | l2, r1 | r2, stragglers, c1.odd ^ c2.odd)
+
+
+# eval/eq answer within 1 GiB and 60 s (FORMATS.md) up to this many
+# generators: (a+b+c+d+e)^2 closes every alphabet in about 1.5 s, while at
+# six generators (a+...+f)*(a*b+c*d+e*f) takes 40-50 s (2-vCPU Xeon).
+MAX_EVAL_N = 5
 
 
 def eval_expression(expr, n: int) -> ComplementaryTriple:
     """Evaluate a rig expression (text or AST) in the free mirig on n generators."""
+    if n > MAX_EVAL_N:
+        raise CapacityError(f"expression evaluation supported for n <= {MAX_EVAL_N}")
     if isinstance(expr, str):
         expr = parse_expression(expr)
     if max_generator(expr) >= n:
@@ -452,6 +509,8 @@ def count_free_mirig(n: int, strategy: str = "grouped") -> int:
     "grouped" groups triples by the replete subsemigroup their carrier
     generates, which only needs per-layer path multiplicities.
     """
+    if n > MAX_REPLETE_N:
+        raise CapacityError(f"free mirig census supported for n <= {MAX_REPLETE_N}")
     if strategy == "triples":
         return sum(
             count_dominated(s) * 2 ** len(s.alphabet_masks())
@@ -485,6 +544,8 @@ VARIANTS = ("11", "21", "12", "02", "boolean_semiring")
 
 def count_characteristic_variant(n: int, variant: str) -> int:
     """Counts for the characteristic quotients and the Boolean-semiring one."""
+    if variant in ("11", "21", "12") and n > MAX_REPLETE_N:
+        raise CapacityError(f"variant {variant} census supported for n <= {MAX_REPLETE_N}")
     if variant == "11":
         return count_replete(n)
     if variant == "21":

@@ -10,7 +10,9 @@ import pytest
 
 from mirigs.cli import main
 from mirigs.expressions import MAX_NESTING
+from mirigs.monoid import parse_word, render_tree, tree_of_word
 from mirigs.subsemigroups import RepleteSubsemigroup
+from mirigs.triples import MAX_EVAL_N
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 CHILD_ADDRESS_SPACE = 1 << 30
@@ -55,6 +57,13 @@ class TestWordCommands:
         code, out, _ = run(capsys, "word-normalize", "--format", "json", "aa")
         data = json.loads(out)
         assert code == 0 and data == {"tree": "(() a a ())", "shortest": "a"}
+
+    def test_word_normalize_past_shortest_cap(self, capsys):
+        tree = render_tree(tree_of_word(parse_word("abcd")))
+        code, out, _ = run(capsys, "word-normalize", "abcd")
+        assert code == 0 and out == f"tree: {tree}\n"
+        code, out, _ = run(capsys, "word-normalize", "--format", "json", "abcd")
+        assert code == 0 and json.loads(out) == {"tree": tree, "shortest": None}
 
     def test_word_eq(self, capsys):
         assert run(capsys, "word-eq", "abc", "abcbabc")[1].strip() == "equal"
@@ -131,6 +140,8 @@ class TestFailFast:
             (("count", "variant", "--variant", "02", "--n", "14"), "n <= 13"),
             (("bounds", "--n", "4"), "n <= 3"),
             (("count", "variant", "--variant", "boolean_semiring", "--n", "5"), "n <= 4"),
+            (("count", "mirig", "--n", "4"), "free mirig census supported for n <= 3"),
+            (("count", "variant", "--variant", "12", "--n", "4"), "variant 12 census supported for n <= 3"),
         ],
     )
     def test_census_past_capacity_exits_1(self, argv, limit):
@@ -151,6 +162,44 @@ class TestFailFast:
     def test_largest_census_answers(self, argv):
         proc = run_child(*argv)
         assert proc.returncode == 0 and proc.stdout.strip() and not proc.stderr
+
+    @pytest.mark.parametrize(
+        "argv,expected",
+        [
+            (("eq", "--n", "4", "(a+b+c+d)*(a+b+c+d)", "a+b+c+d"), "equal"),
+            (("eq", "--n", "4", "a*b+c*d", "c*d+a*b+a*b*c*d"), "different"),
+            (("eq", "--n", str(MAX_EVAL_N), "(a+b+c+d+e)*(a+b+c+d+e)", "a+b+c+d+e"), "equal"),
+        ],
+        ids=["n4-equal", "n4-different", "largest-n"],
+    )
+    def test_eq_answers(self, argv, expected):
+        proc = run_child(*argv)
+        assert proc.returncode == 0 and proc.stdout.strip() == expected and not proc.stderr
+
+    def test_eval_json_n4_answers(self):
+        proc = run_child("eval", "--n", "4", "--format", "json", "a*b+c*d")
+        assert proc.returncode == 0 and not proc.stderr
+        data = json.loads(proc.stdout)
+        assert data["S"]["alphabets"] == [15] and data["p"] == [3, 12]
+        assert data["D"] == ["((() a a ()) b a (() b b ()))", "((() c c ()) d c (() d d ()))"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("eval", "--n", str(MAX_EVAL_N + 1), "--format", "json", "a"),
+            ("eq", "--n", str(MAX_EVAL_N + 1), "a", "a"),
+        ],
+        ids=["eval", "eq"],
+    )
+    def test_eval_past_capacity_exits_1(self, argv):
+        proc = run_child(*argv)
+        assert proc.returncode == 1
+        assert f"n <= {MAX_EVAL_N}" in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_text_eval_past_shortest_cap_exits_1(self):
+        proc = run_child("eval", "--n", "4", "a*b+c*d")
+        assert proc.returncode == 1
+        assert "--format json" in proc.stderr and "Traceback" not in proc.stderr
 
     def test_deep_nesting_exits_2(self):
         depth = 3000

@@ -11,13 +11,16 @@ from mirigs.monoid import (
     all_trees,
     enumerate_trees,
     gen_tree,
+    lmp,
     mask_of,
     node,
+    rmp,
     tree_product,
 )
 from mirigs.subsemigroups import (
     RepleteSubsemigroup,
     alphabet_family,
+    close_path_system,
     close_under_product,
     closed_path_sets,
     count_replete,
@@ -167,6 +170,36 @@ class TestRepleteClosure:
         assert isinstance(r, RepleteSubsemigroup)
         assert r.trees() == replete_closure_trees({t("ab"), t("ac")})
         assert r.size() == len(r.trees())
+
+
+def path_systems(trees):
+    return frozenset(lmp(x) for x in trees), frozenset(rmp(x) for x in trees)
+
+
+class TestPathSystemClosure:
+    """close_path_system against the tree-level closures."""
+
+    def test_random_tree_sets(self):
+        rng = random.Random(10)
+        trees = all_trees(3)
+        for size in (1, 2, 3, 4) * 10:
+            seed = rng.sample(trees, size)
+            assert close_path_system(*path_systems(seed)) == path_systems(
+                close_under_product(seed)
+            )
+            closed = replete_closure_trees(seed)
+            lefts, rights = close_path_system(*path_systems(seed), replete=True)
+            assert (lefts, rights) == path_systems(closed)
+            assert RepleteSubsemigroup.from_paths(3, lefts, rights) == replete_closure(seed, 3)
+
+    def test_paths_roundtrip(self):
+        for s in enumerate_replete(2):
+            assert RepleteSubsemigroup.from_paths(2, *s.paths()) == s
+
+    def test_leaf_is_the_empty_path(self):
+        assert close_path_system({()}, {()}, replete=True) == ({()}, {()})
+        lefts, rights = close_path_system({(0,), (1,)}, {(0,), (1,)})
+        assert lefts == {(0,), (1,), (0, 1), (1, 0)} == rights
 
 
 class TestBranchSets:

@@ -3,7 +3,9 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import tree_reference as ref
 from mirigs.errors import CapacityError
 from mirigs.monoid import LEAF, all_trees, gen_tree
 from mirigs.subsemigroups import (
@@ -190,6 +192,65 @@ class TestConsistencyWithThickets:
             assert normalize_thicket(f * g) == triple_mul(
                 normalize_thicket(f), normalize_thicket(g)
             )
+
+    def test_random_thickets_n3(self):
+        rng = random.Random(37)
+        trees = all_trees(3)
+        for _ in range(100):
+            f = Thicket(3, {x: rng.randint(0, 3) for x in rng.sample(trees, 3)})
+            g = Thicket(3, {x: rng.randint(0, 3) for x in rng.sample(trees, 3)})
+            for h in (f, g, f + g, f * g):
+                assert normalize_thicket(h) == ref.normalize_thicket(h)
+            assert normalize_thicket(f + g) == triple_add(
+                normalize_thicket(f), normalize_thicket(g)
+            )
+            assert normalize_thicket(f * g) == triple_mul(
+                normalize_thicket(f), normalize_thicket(g)
+            )
+
+
+class TestTreeReference:
+    """The path-level arithmetic against tests/tree_reference.py, which
+    expands S into trees and closes tree sets."""
+
+    def test_n2_tables(self, c2_elements, c2_tables):
+        index, add, mul = c2_tables
+        for i, x in enumerate(c2_elements):
+            assert [index[ref.triple_add(x, y)] for y in c2_elements] == add[i]
+            assert [index[ref.triple_mul(x, y)] for y in c2_elements] == mul[i]
+
+    def test_n3_sampled_pairs(self):
+        pool = sample_triples(3, 60, seed=0)
+        rng = random.Random(0)
+        for _ in range(300):
+            x, y = rng.choice(pool), rng.choice(pool)
+            assert triple_add(x, y) == ref.triple_add(x, y)
+            assert triple_mul(x, y) == ref.triple_mul(x, y)
+
+
+@pytest.fixture(scope="module")
+def c3_pool():
+    return sample_triples(3, 40, seed=1)
+
+
+class TestRigLawsN3:
+    """The rig laws on triples drawn from a fixed n=3 sample, where the
+    tables are out of reach."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_laws(self, c3_pool, data):
+        x, y, z = (data.draw(st.sampled_from(c3_pool)) for _ in range(3))
+        add, mul = triple_add, triple_mul
+        assert add(x, y) == add(y, x)
+        assert add(add(x, y), z) == add(x, add(y, z))
+        assert mul(mul(x, y), z) == mul(x, mul(y, z))
+        assert mul(x, add(y, z)) == add(mul(x, y), mul(x, z))
+        assert mul(add(x, y), z) == add(mul(x, z), mul(y, z))
+        assert mul(x, x) == x
+        assert add(x, zero(3)) == x
+        assert mul(x, one(3)) == x == mul(one(3), x)
+        assert mul(x, zero(3)) == zero(3) == mul(zero(3), x)
 
 
 class TestAmalgamation:

@@ -1,0 +1,88 @@
+"""Tree-level triple arithmetic and normalization: the independent route
+that the path-level code in `mirigs.triples` is tested against.
+
+Everything here expands S into explicit trees, closes tree sets with
+`close_under_product`/`replete_closure_trees`, and re-derives the paths
+with `RepleteSubsemigroup.from_trees`.  It is exponentially slower than the
+library code and is kept for tests only.
+"""
+
+from mirigs.monoid import tree_product
+from mirigs.subsemigroups import (
+    RepleteSubsemigroup,
+    alphabet_family,
+    close_under_product,
+    layer_of,
+    replete_closure_trees,
+)
+from mirigs.quotients import N22
+from mirigs.thickets import Thicket, apparity_by_alphabet
+from mirigs.triples import ComplementaryTriple, _check_same, zero
+
+
+def _triple(n: int, s_trees, d, odd) -> ComplementaryTriple:
+    s = RepleteSubsemigroup.from_trees(n, s_trees, validate=False)
+    return ComplementaryTriple(n, s, frozenset(d), frozenset(odd))
+
+
+def normalize_thicket(f: Thicket) -> ComplementaryTriple:
+    if f.rig != N22:
+        raise ValueError("normalization expects quotient coefficients (2,2)")
+    if f.is_zero():
+        return zero(f.n)
+    support = f.support()
+    closed = close_under_product(support)
+    family = alphabet_family(closed)
+    minimal = {
+        a for a in family if not any(b != a and b & a == b for b in family)
+    }
+    stragglers = set()
+    for t, coeff in f.items():
+        if coeff == 1 and t.alpha in minimal and len(layer_of(support, t.alpha)) == 1:
+            stragglers.add(t)
+    s_trees = replete_closure_trees(closed - stragglers)
+    parity = apparity_by_alphabet(f)
+    odd = {a for a, value in parity.items() if value % 2 == 1}
+    return _triple(f.n, s_trees, stragglers, odd)
+
+
+def _product_stragglers(c1, c2):
+    left, right = c1.carrier(), c2.carrier()
+    out = set()
+    for t in c1.d:
+        for u in c2.d:
+            a = t.alpha | u.alpha
+            if all(
+                (s is t and v is u) or (s.alpha | v.alpha) & ~a
+                for s in left
+                for v in right
+            ):
+                out.add(tree_product(t, u))
+    return out
+
+
+def triple_mul(c1: ComplementaryTriple, c2: ComplementaryTriple) -> ComplementaryTriple:
+    _check_same(c1, c2)
+    left, right = c1.carrier(), c2.carrier()
+    products = {tree_product(s, v) for s in left for v in right}
+    stragglers = _product_stragglers(c1, c2)
+    # The stragglers stay lonely on minimal alphabets, so they can be split
+    # off only after the pairwise products are closed up.
+    s_trees = replete_closure_trees(close_under_product(products) - stragglers)
+    odd = set()
+    for a1 in c1.odd:
+        for a2 in c2.odd:
+            odd ^= {a1 | a2}
+    return _triple(c1.n, s_trees, stragglers, odd)
+
+
+def triple_add(c1: ComplementaryTriple, c2: ComplementaryTriple) -> ComplementaryTriple:
+    _check_same(c1, c2)
+    left, right = c1.carrier(), c2.carrier()
+    stragglers = {
+        t for t in c1.d if all(v.alpha & ~t.alpha for v in right)
+    } | {
+        u for u in c2.d if all(s.alpha & ~u.alpha for s in left)
+    }
+    s_trees = replete_closure_trees(close_under_product(left | right) - stragglers)
+    return _triple(c1.n, s_trees, stragglers, c1.odd ^ c2.odd)
