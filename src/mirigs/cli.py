@@ -18,6 +18,7 @@ from .monoid import (
     render_word,
     shortest_word,
     tree_of_word,
+    words_equivalent,
 )
 from .quotients import (
     FiniteRigTable,
@@ -88,7 +89,7 @@ def cmd_word_normalize(args) -> int:
 def cmd_word_eq(args) -> int:
     w1 = parse_word(_payload(args.word1), args.n)
     w2 = parse_word(_payload(args.word2), args.n)
-    equal = tree_of_word(w1) is tree_of_word(w2)
+    equal = words_equivalent(w1, w2)
     if args.format == "json":
         print(json.dumps({"equal": equal}))
     else:

@@ -191,10 +191,28 @@ def gen_tree(i: int) -> Tree:
 
 
 def tree_of_word(w: Word) -> Tree:
-    if not w:
-        return LEAF
-    d = grf(w)
-    return node(tree_of_word(d.p), d.a, d.b, tree_of_word(d.q))
+    """The canonical tree of w, built from its Green-Rees decompositions.
+
+    The recursions on the prefix p and the suffix q of w ~ p a b q reach
+    many of the same subwords, so each distinct subword is decomposed once
+    and its tree looked up after that: `grf` runs once per distinct
+    subword, not about 2^|alphabet| times.  The memo lives for this call
+    only.
+    """
+    return _tree_of_subword(w, {(): LEAF})
+
+
+def _tree_of_subword(u: Word, memo: dict[Word, Tree]) -> Tree:
+    # A module-level function, not a closure: a closure that calls itself
+    # is a reference cycle, which would keep each call's memo alive until
+    # the cyclic garbage collector runs.
+    t = memo.get(u)
+    if t is None:
+        d = grf(u)
+        t = memo[u] = node(
+            _tree_of_subword(d.p, memo), d.a, d.b, _tree_of_subword(d.q, memo)
+        )
+    return t
 
 
 def word_of_tree(t: Tree) -> Word:
@@ -424,12 +442,26 @@ def monoid_table(n: int):
 # The one-letter shorthand is accepted on input and expanded on output.
 
 
+# Every node is written out, so the text of a tree of height h has
+# 9 * 2^h - 7 bytes: 9.4 MB at 20 generators, 600 MB at 26.
+MAX_RENDER_ALPHABET = 20
+
+
 def render_tree(t: Tree) -> str:
+    if t.height > MAX_RENDER_ALPHABET:
+        raise CapacityError(
+            f"tree text output supports alphabets of at most {MAX_RENDER_ALPHABET} generators"
+        )
     if t.is_leaf:
         return "()"
     return "({} {} {} {})".format(
         render_tree(t.left), letter(t.a0), letter(t.a1), render_tree(t.right)
     )
+
+
+# A tree's height is the size of its alphabet, so a valid tree nests at most
+# one more level of parentheses (its leaves) than there are generators.
+MAX_TREE_NESTING = MAX_GENERATORS + 1
 
 
 def parse_tree(text: str, n: Optional[int] = None) -> Tree:
@@ -456,9 +488,13 @@ def parse_tree(text: str, n: Optional[int] = None) -> Tree:
         pos += 1
         return idx
 
-    def tree() -> Tree:
+    def tree(depth: int) -> Tree:
         nonlocal pos
         skip_ws()
+        if depth > MAX_TREE_NESTING and pos < len(text) and text[pos] == "(":
+            raise ParseError(
+                f"trees nest at most {MAX_TREE_NESTING} parentheses deep", pos
+            )
         expect("(")
         skip_ws()
         if pos < len(text) and text[pos] == ")":
@@ -471,13 +507,13 @@ def parse_tree(text: str, n: Optional[int] = None) -> Tree:
             skip_ws()
             expect(")")
             return gen_tree(g)
-        left = tree()
+        left = tree(depth + 1)
         skip_ws()
         a0 = gen()
         skip_ws()
         a1 = gen()
         skip_ws()
-        right = tree()
+        right = tree(depth + 1)
         skip_ws()
         expect(")")
         try:
@@ -485,7 +521,7 @@ def parse_tree(text: str, n: Optional[int] = None) -> Tree:
         except ValueError as e:
             raise ParseError(str(e), pos) from None
 
-    out = tree()
+    out = tree(1)
     skip_ws()
     if pos != len(text):
         raise ParseError("trailing input after tree", pos)

@@ -10,6 +10,7 @@ from functools import total_ordering
 from .errors import ParseError
 from .monoid import (
     LEAF,
+    MAX_SHORTEST_ALPHABET,
     Tree,
     parse_word,
     render_word,
@@ -159,7 +160,7 @@ def render_thicket(f: Thicket) -> str:
         return "0"
     parts = []
     for t, c in f.items():
-        w = shortest_word(t) if t.height <= 3 else word_of_tree(t)
+        w = shortest_word(t) if t.height <= MAX_SHORTEST_ALPHABET else word_of_tree(t)
         parts.append(f"{c}*{render_word(w) or '1'}")
     return " + ".join(parts)
 

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -10,7 +11,14 @@ import pytest
 
 from mirigs.cli import main
 from mirigs.expressions import MAX_NESTING
-from mirigs.monoid import parse_word, render_tree, tree_of_word
+from mirigs.monoid import (
+    MAX_GENERATORS,
+    MAX_RENDER_ALPHABET,
+    letter,
+    parse_word,
+    render_tree,
+    tree_of_word,
+)
 from mirigs.subsemigroups import RepleteSubsemigroup
 from mirigs.triples import MAX_EVAL_N
 
@@ -206,6 +214,37 @@ class TestFailFast:
         proc = run_child("eval", "--n", "1", "(" * depth + "a" + ")" * depth)
         assert proc.returncode == 2
         assert f"at byte {MAX_NESTING}" in proc.stderr and "Traceback" not in proc.stderr
+
+    @staticmethod
+    def long_word(k, seed):
+        """A fixed 1000-letter word that uses each of the first k letters."""
+        rng = random.Random(seed)
+        word = "".join(letter(rng.randrange(k)) for _ in range(1000))
+        assert len(set(word)) == k
+        return word
+
+    def test_word_eq_answers_on_26_letters(self):
+        word = self.long_word(MAX_GENERATORS, 11)
+        other = "a" if word[0] != "a" else "b"
+        proc = run_child("word-eq", word, word + word)
+        assert proc.returncode == 0 and proc.stdout == "equal\n"
+        proc = run_child("word-eq", word, other + word)
+        assert proc.returncode == 0 and proc.stdout == "different\n"
+
+    def test_word_normalize_answers_at_render_cap(self):
+        word = self.long_word(MAX_RENDER_ALPHABET, 12)
+        proc = run_child("word-normalize", "--format", "json", word)
+        assert proc.returncode == 0 and not proc.stderr
+        tree = render_tree(tree_of_word(parse_word(word)))
+        assert len(tree) == 9 * 2**MAX_RENDER_ALPHABET - 7
+        assert json.loads(proc.stdout) == {"tree": tree, "shortest": None}
+
+    def test_word_normalize_past_render_cap_exits_1(self):
+        word = self.long_word(MAX_GENERATORS, 11)
+        proc = run_child("word-normalize", "--format", "json", word)
+        assert proc.returncode == 1 and not proc.stdout
+        assert f"at most {MAX_RENDER_ALPHABET} generators" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize(
         "expression,expected",

@@ -1,9 +1,16 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
+import tree_reference as ref
 from mirigs.errors import CapacityError, ParseError
 from mirigs.monoid import (
     LEAF,
+    MAX_GENERATORS,
+    MAX_RENDER_ALPHABET,
+    MAX_TREE_NESTING,
     count_free_monoid,
     enumerate_trees,
     gen_tree,
@@ -297,3 +304,111 @@ class TestTreeText:
         assert info.value.offset > 0
         with pytest.raises(ParseError):
             parse_tree("()(")
+
+    def test_nesting_cap(self):
+        with pytest.raises(ParseError) as info:
+            parse_tree("(" * 5000)
+        assert info.value.offset == MAX_TREE_NESTING
+        # A leaf as deep as the leaves of a tree on all generators passes
+        # the cap and fails later, at the missing generator.
+        with pytest.raises(ParseError) as info:
+            parse_tree("(" * MAX_TREE_NESTING + ")")
+        assert info.value.offset == MAX_TREE_NESTING + 1
+        # A tree nests one level deeper than its height, so the cap admits
+        # every tree on MAX_GENERATORS generators.
+        text = render_tree(tree_of_word(tuple(range(12))))
+        depth = max(itertools.accumulate({"(": 1, ")": -1}.get(c, 0) for c in text))
+        assert depth == 12 + 1 and MAX_TREE_NESTING == MAX_GENERATORS + 1
+
+    def test_render_cap(self):
+        word = tuple(range(MAX_RENDER_ALPHABET))
+        assert len(render_tree(tree_of_word(word[:12]))) == 9 * 2**12 - 7
+        with pytest.raises(CapacityError):
+            render_tree(tree_of_word(word + (MAX_RENDER_ALPHABET,)))
+
+
+def zimin(order):
+    """Z_1 = a, Z_k = Z_{k-1} x_k Z_{k-1}: length 2^order - 1 on order letters."""
+    z = (0,)
+    for i in range(1, order):
+        z = z + (i,) + z
+    return z
+
+
+def de_bruijn(k, m):
+    """The least cyclic de Bruijn sequence B(k, m): every m-letter word over
+    k letters occurs once as an infix, so windows have many distinct infixes."""
+    a = [0] * (k * m)
+    out = []
+
+    def db(t, p):
+        if t > m:
+            if m % p == 0:
+                out.extend(a[1 : p + 1])
+            return
+        a[t] = a[t - p]
+        db(t + 1, p)
+        for j in range(a[t - p] + 1, k):
+            a[t] = j
+            db(t + 1, t)
+
+    db(1, 1)
+    return tuple(out)
+
+
+def square_insertion(rng, word):
+    """w = x u y -> x u u y: an equivalent word."""
+    i = rng.randrange(len(word))
+    j = rng.randrange(i + 1, len(word) + 1)
+    return word[:j] + word[i:j] + word[j:]
+
+
+def sandwich_insertion(rng, word):
+    """w = x p y -> x p u p y with alpha(u) inside alpha(p): an equivalent word."""
+    i = rng.randrange(len(word))
+    j = rng.randrange(i + 1, len(word) + 1)
+    inner = word[i:j]
+    u = tuple(rng.choice(inner) for _ in range(rng.randint(1, 8)))
+    return word[:j] + u + inner + word[j:]
+
+
+class TestTreeReference:
+    """The memoised tree_of_word against the plain recursion in
+    tests/tree_reference.py, which it must match node for node."""
+
+    def check(self, rng, word):
+        tree = tree_of_word(word)
+        assert tree is ref.tree_of_word(word)
+        if word:
+            for variant in (square_insertion(rng, word), sandwich_insertion(rng, word)):
+                assert tree_of_word(variant) is tree
+                assert ref.tree_of_word(variant) is tree
+
+    def test_random_words(self):
+        rng = random.Random(5)
+        for k in range(1, 13):
+            for _ in range(8):
+                word = tuple(rng.randrange(k) for _ in range(rng.randint(0, 300)))
+                self.check(rng, word)
+
+    def test_zimin_words(self):
+        rng = random.Random(6)
+        for order in range(1, 11):
+            self.check(rng, zimin(order))
+
+    @pytest.mark.parametrize("k,m", [(4, 4), (8, 3)])
+    def test_de_bruijn_windows(self, k, m):
+        rng = random.Random(k)
+        seq = de_bruijn(k, m)
+        seq = seq + seq[: 300]
+        for start in (0, 37, len(seq) // 2 - 150):
+            self.check(rng, seq[start : start + 300])
+
+    def test_products_at_k16(self):
+        # Out of the reference's reach: k = 16 is checked through the
+        # product identity instead.
+        rng = random.Random(7)
+        for _ in range(12):
+            u = tuple(rng.randrange(16) for _ in range(rng.randint(0, 600)))
+            v = tuple(rng.randrange(16) for _ in range(rng.randint(0, 600)))
+            assert tree_product(tree_of_word(u), tree_of_word(v)) is tree_of_word(u + v)

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tree_reference as ref
-from mirigs.errors import CapacityError
-from mirigs.monoid import LEAF, all_trees, gen_tree
+from mirigs.errors import CapacityError, ParseError
+from mirigs.monoid import LEAF, MAX_TREE_NESTING, all_trees, gen_tree
 from mirigs.subsemigroups import (
     RepleteSubsemigroup,
     enumerate_replete,
@@ -441,3 +441,10 @@ class TestJson:
         assert set(data) == {"S", "D", "p"}
         assert data["p"] == [1, 2]
         assert data["D"] == ["(() a a ())", "(() b b ())"]
+
+    def test_deep_tree_is_parse_error(self):
+        data = eval_expression("a+b", 2).to_json()
+        data["D"] = ["(" * 5000]
+        with pytest.raises(ParseError) as info:
+            ComplementaryTriple.from_json(data)
+        assert info.value.offset == MAX_TREE_NESTING

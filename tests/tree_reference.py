@@ -1,13 +1,21 @@
-"""Tree-level triple arithmetic and normalization: the independent route
-that the path-level code in `mirigs.triples` is tested against.
+"""Reference routes that the library's faster code is tested against.
 
-Everything here expands S into explicit trees, closes tree sets with
+`tree_of_word` recurses on the prefix and suffix of every Green-Rees
+decomposition without remembering a subword it has seen, so it makes about
+2^|alphabet| calls; `mirigs.monoid.tree_of_word` decomposes each distinct
+subword once.
+
+The triple arithmetic and normalization here is tree-level: it expands S
+into explicit trees, closes tree sets with
 `close_under_product`/`replete_closure_trees`, and re-derives the paths
-with `RepleteSubsemigroup.from_trees`.  It is exponentially slower than the
-library code and is kept for tests only.
+with `RepleteSubsemigroup.from_trees`, where `mirigs.triples` works on path
+systems.
+
+Both are exponentially slower than the library code and are kept for tests
+only.
 """
 
-from mirigs.monoid import tree_product
+from mirigs.monoid import LEAF, grf, node, tree_product
 from mirigs.subsemigroups import (
     RepleteSubsemigroup,
     alphabet_family,
@@ -18,6 +26,13 @@ from mirigs.subsemigroups import (
 from mirigs.quotients import N22
 from mirigs.thickets import Thicket, apparity_by_alphabet
 from mirigs.triples import ComplementaryTriple, _check_same, zero
+
+
+def tree_of_word(w):
+    if not w:
+        return LEAF
+    d = grf(w)
+    return node(tree_of_word(d.p), d.a, d.b, tree_of_word(d.q))
 
 
 def _triple(n: int, s_trees, d, odd) -> ComplementaryTriple:
