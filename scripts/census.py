@@ -14,7 +14,7 @@ from mirigs.subsemigroups import (
     count_replete,
     count_replete_bounded_height,
     count_uniform,
-    enumerate_replete,
+    right_system_histograms,
 )
 from mirigs.triples import (
     VARIANTS,
@@ -25,20 +25,16 @@ from mirigs.triples import (
 
 
 def family_profile(n):
-    """Replete subsemigroups grouped by canonical alphabet family."""
+    """Replete subsemigroups without the trivial tree, grouped by canonical
+    alphabet family: R(fam)**2 of them on each family (see
+    right_system_histograms)."""
     counts = Counter()
-    for s in enumerate_replete(n):
-        if s.unit:
-            continue
-        fam = frozenset(m for m, _, _ in s.layers)
-        best = None
-        for perm in itertools.permutations(range(n)):
-            mapped = tuple(
-                sorted(sum(1 << perm[g] for g in mask_members(m)) for m in fam)
-            )
-            if best is None or mapped < best:
-                best = mapped
-        counts[best] += 1
+    for fam, hist in right_system_histograms(n):
+        best = min(
+            tuple(sorted(sum(1 << perm[g] for g in mask_members(m)) for m in fam))
+            for perm in itertools.permutations(range(n))
+        )
+        counts[best] += sum(hist.values()) ** 2
     return counts
 
 

@@ -316,6 +316,15 @@ def tree_count_full(k: int) -> int:
     return c
 
 
+def check_n(n: int, limit: int, what: str) -> None:
+    """The generator-count check of every census and enumeration: n must be
+    nonnegative (ValueError) and at most limit (CapacityError naming what)."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if n > limit:
+        raise CapacityError(f"{what} supported for n <= {limit}")
+
+
 # The size at 14 generators has more than 4300 decimal digits, Python's
 # default limit for converting an int to text.
 MAX_MONOID_COUNT_N = 13
@@ -323,10 +332,7 @@ MAX_MONOID_COUNT_N = 13
 
 def count_free_monoid(n: int) -> int:
     """Size of the free idempotent monoid on n generators."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n > MAX_MONOID_COUNT_N:
-        raise CapacityError(f"monoid census supported for n <= {MAX_MONOID_COUNT_N}")
+    check_n(n, MAX_MONOID_COUNT_N, "monoid census")
     import math
 
     return sum(math.comb(n, k) * tree_count_full(k) for k in range(n + 1))

@@ -11,6 +11,7 @@ path representation below possible.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import FrozenSet, Iterator
@@ -20,6 +21,7 @@ from .monoid import (
     LEAF,
     Tree,
     all_trees,
+    check_n,
     letter,
     lmp,
     mask_members,
@@ -444,35 +446,38 @@ def union_closed_families(n: int) -> list[frozenset[int]]:
 
 
 def _right_systems(family: list[int]) -> Iterator[dict]:
-    """All assignments mask -> closed right path set over a union-closed family
-    that are closed under cross-layer products."""
-    if not family:
-        yield {}
-        return
-    catalogs = [closed_path_sets(mask) for mask in family]
-    for choice in itertools.product(*catalogs):
-        system = dict(zip(family, choice))
-        ok = True
-        for a in family:
-            for b in family:
-                if a == b:
-                    continue
-                target = system[a | b]
-                if not all(
-                    star_right(p, q) in target for p in system[a] for q in system[b]
-                ):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            yield system
+    """All assignments mask -> closed right path set over a union-closed family,
+    given in ascending order, that are closed under cross-layer products.
+
+    Backtracks over the layers in ascending mask order, so the systems come
+    out in the order of itertools.product over the per-layer catalogues.
+    A product lands on the union of its factors' alphabets, which is at
+    least either mask, so each layer's set is checked once chosen, against
+    the layers below it (its subsets, all earlier).  Of those products only
+    star_right(t, p), t on the layer and p below, needs a check:
+    star_right(p, t) is t, and for a | b the layer, star_right(p, q) with p
+    on a and q on b is star_right(star_right(t, p), q) for any t."""
+    below = [[a for a in family[:i] if a & c == a] for i, c in enumerate(family)]
+    chosen: dict[int, frozenset] = {}
+
+    def extend(i: int) -> Iterator[dict]:
+        if i == len(family):
+            yield dict(chosen)
+            return
+        c = family[i]
+        lower = [p for a in below[i] for p in chosen[a]]
+        for target in closed_path_sets(c):
+            if all(star_right(t, p) in target for t in target for p in lower):
+                chosen[c] = target
+                yield from extend(i + 1)
+        chosen.pop(c, None)
+
+    return extend(0)
 
 
 def enumerate_replete(n: int) -> Iterator[RepleteSubsemigroup]:
     """Every replete subsemigroup of T_n exactly once, compactly represented."""
-    if n > MAX_REPLETE_N:
-        raise CapacityError(f"replete enumeration supported for n <= {MAX_REPLETE_N}")
+    check_n(n, MAX_REPLETE_N, "replete enumeration")
     for fam in sorted(union_closed_families(n), key=lambda f: (len(f), sorted(f))):
         family = sorted(fam)
         rights = list(_right_systems(family))
@@ -487,8 +492,27 @@ def enumerate_replete(n: int) -> Iterator[RepleteSubsemigroup]:
                     yield RepleteSubsemigroup.from_layer_dict(n, unit, layer_dict)
 
 
+def right_system_histograms(n: int) -> Iterator[tuple[frozenset[int], Counter]]:
+    """Per union-closed family of nonempty alphabets over [n], the histogram
+    H[X] over its right systems of X, the set of the family's minimal layers
+    that hold exactly one path.  H's total is R, the number of right
+    systems.  The left systems are the mirror images of the right ones,
+    with the same X, so H serves both sides of every replete S on the
+    family: there are 2 * R**2 of them, one per (left, right, unit)."""
+    check_n(n, MAX_REPLETE_N, "replete census")
+    for fam in union_closed_families(n):
+        family = sorted(fam)
+        minimal = [a for a in family if not any(b != a and b & a == b for b in family)]
+        yield fam, Counter(
+            frozenset(a for a in minimal if len(system[a]) == 1)
+            for system in _right_systems(family)
+        )
+
+
 def count_replete(n: int) -> int:
-    return sum(1 for _ in enumerate_replete(n))
+    """Number of replete subsemigroups of T_n, from the per-family
+    histograms: no S is built."""
+    return sum(2 * sum(hist.values()) ** 2 for _, hist in right_system_histograms(n))
 
 
 # At n = 5 the count has about a million decimal digits; at n = 6 its
@@ -500,8 +524,7 @@ def count_uniform(n: int) -> int:
     """Number of inhabited uniform subsemigroups of T_n, in closed form."""
     import math
 
-    if n > MAX_UNIFORM_N:
-        raise CapacityError(f"uniform census supported for n <= {MAX_UNIFORM_N}")
+    check_n(n, MAX_UNIFORM_N, "uniform census")
     total = 0
     for k in range(n + 1):
         branches = 1

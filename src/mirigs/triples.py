@@ -21,6 +21,7 @@ from .expressions import Add, Const, Gen, Node, max_generator, parse_expression
 from .monoid import (
     LEAF,
     Tree,
+    check_n,
     count_free_monoid,
     gen_tree,
     lmp,
@@ -48,6 +49,7 @@ from .subsemigroups import (
     is_subsemigroup,
     layer_of,
     path_class_size,
+    right_system_histograms,
 )
 from .thickets import Thicket, apparity_by_alphabet
 from .quotients import N22
@@ -464,41 +466,40 @@ def sample_triples(n: int, count: int, seed: int = 0) -> list[ComplementaryTripl
 
 # Past these sizes a closed-form census has more than 4300 decimal digits
 # (Python's default limit for converting an int to text) or, for the
-# Boolean-semiring count, scans 2^32 families of alphabets.
+# Boolean-semiring count, lists the 7 828 354 up-sets on six atoms.
 MAX_BOUNDS_N = 3
 MAX_VARIANT_02_N = 13
-MAX_BOOLEAN_SEMIRING_N = 4
+MAX_BOOLEAN_SEMIRING_N = 5
 
 
 def mirig_upper_bounds(n: int) -> tuple[int, int]:
     """(crude, refined) upper bounds for the free mirig size."""
-    if n > MAX_BOUNDS_N:
-        raise CapacityError(f"upper bounds supported for n <= {MAX_BOUNDS_N}")
+    check_n(n, MAX_BOUNDS_N, "upper bounds")
     m = count_free_monoid(n)
     return 4 ** m, 4 ** (m - 1) + 3 * 3 ** (m - 1)
 
 
-def _minimal_single_path_masks(s: RepleteSubsemigroup) -> list[int]:
-    family = _family_masks(s)
-    out = []
-    for mask, lp, rp in s.layers:
-        if len(lp) == 1 == len(rp) and not any(
-            b != mask and b & mask == b for b in family
-        ):
-            out.append(mask)
-    return out
-
-
-def _straggler_subset_sum(s: RepleteSubsemigroup, base: int) -> int:
-    """Sum, over the sets e of minimal single-path layers of s that
-    stragglers stand in for, of the straggler choices on e times
-    base ** (the number of layers outside e)."""
-    singles = _minimal_single_path_masks(s)
+def _straggler_subset_sum(singles, layers: int, base: int) -> int:
+    """Sum, over the sets e of minimal single-path layers (the masks in
+    singles) that stragglers stand in for, of the straggler choices on e
+    times base ** (the number of layers of S outside e)."""
     total = 0
     for r in range(len(singles) + 1):
         for e in itertools.combinations(singles, r):
             q = math.prod(path_class_size(mask_size(a)) ** 2 for a in e)
-            total += base ** (len(s.layers) - r) * q
+            total += base ** (layers - r) * q
+    return total
+
+
+def _histogram_sum(n: int, term) -> int:
+    """Sum of term(|fam|, X & Y) over the replete S without the trivial
+    tree, X and Y being the minimal single-path layers of S's left and
+    right systems (see right_system_histograms)."""
+    total = 0
+    for fam, hist in right_system_histograms(n):
+        for x, hx in hist.items():
+            for y, hy in hist.items():
+                total += hx * hy * term(len(fam), x & y)
     return total
 
 
@@ -507,10 +508,10 @@ def count_free_mirig(n: int, strategy: str = "grouped") -> int:
 
     "triples" sums dominated-set counts over all replete subsemigroups;
     "grouped" groups triples by the replete subsemigroup their carrier
-    generates, which only needs per-layer path multiplicities.
+    generates, which only needs per-layer path multiplicities, and so is
+    counted from the per-family histograms without listing any S.
     """
-    if n > MAX_REPLETE_N:
-        raise CapacityError(f"free mirig census supported for n <= {MAX_REPLETE_N}")
+    check_n(n, MAX_REPLETE_N, "free mirig census")
     if strategy == "triples":
         return sum(
             count_dominated(s) * 2 ** len(s.alphabet_masks())
@@ -518,25 +519,21 @@ def count_free_mirig(n: int, strategy: str = "grouped") -> int:
         )
     if strategy != "grouped":
         raise ValueError("strategy must be 'triples' or 'grouped'")
-    return sum(
-        3 * 2 ** len(s.layers) + _straggler_subset_sum(s, 2)
-        for s in enumerate_replete(n)
-        if not s.unit
+    return _histogram_sum(
+        n, lambda layers, singles: 3 * 2**layers + _straggler_subset_sum(singles, layers, 2)
     )
 
 
-def _upward_closed_families(n: int) -> Iterator[frozenset[int]]:
-    masks = list(range(1 << n))
-    for r in range(len(masks) + 1):
-        for combo in itertools.combinations(masks, r):
-            fam = frozenset(combo)
-            if all(
-                b in fam
-                for a in fam
-                for b in masks
-                if a & b == a
-            ):
-                yield fam
+def _upsets(n: int) -> list[int]:
+    """The up-sets of the Boolean lattice on n atoms, as bitmasks over its
+    2**n subsets.  Splitting on the last atom, an up-set is a pair U0 <= U1
+    of up-sets on n - 1 atoms: the members without the atom, and those with
+    it, the atom removed."""
+    if n == 0:
+        return [0, 1]
+    lower = _upsets(n - 1)
+    shift = 1 << (n - 1)
+    return [u0 | u1 << shift for u1 in lower for u0 in lower if not u0 & ~u1]
 
 
 VARIANTS = ("11", "21", "12", "02", "boolean_semiring")
@@ -544,27 +541,21 @@ VARIANTS = ("11", "21", "12", "02", "boolean_semiring")
 
 def count_characteristic_variant(n: int, variant: str) -> int:
     """Counts for the characteristic quotients and the Boolean-semiring one."""
-    if variant in ("11", "21", "12") and n > MAX_REPLETE_N:
-        raise CapacityError(f"variant {variant} census supported for n <= {MAX_REPLETE_N}")
+    if variant in ("11", "21", "12"):
+        check_n(n, MAX_REPLETE_N, f"variant {variant} census")
     if variant == "11":
         return count_replete(n)
     if variant == "21":
         # Characteristic (2,1) records no parity, hence base 1.
-        return sum(
-            2 + _straggler_subset_sum(s, 1) for s in enumerate_replete(n) if not s.unit
+        return _histogram_sum(
+            n, lambda layers, singles: 2 + _straggler_subset_sum(singles, layers, 1)
         )
     if variant == "12":
-        return 3 * sum(
-            2 ** len(s.layers) for s in enumerate_replete(n) if not s.unit
-        )
+        return 3 * _histogram_sum(n, lambda layers, singles: 2**layers)
     if variant == "02":
-        if n > MAX_VARIANT_02_N:
-            raise CapacityError(f"variant 02 census supported for n <= {MAX_VARIANT_02_N}")
+        check_n(n, MAX_VARIANT_02_N, "variant 02 census")
         return 2 ** (2 ** n)
     if variant == "boolean_semiring":
-        if n > MAX_BOOLEAN_SEMIRING_N:
-            raise CapacityError(
-                f"boolean_semiring census supported for n <= {MAX_BOOLEAN_SEMIRING_N}"
-            )
-        return sum(2 ** len(fam) for fam in _upward_closed_families(n))
+        check_n(n, MAX_BOOLEAN_SEMIRING_N, "boolean_semiring census")
+        return sum(1 << u.bit_count() for u in _upsets(n))
     raise ValueError(f"unsupported variant {variant!r}")

@@ -123,6 +123,7 @@ class TestCounts:
             (("count", "uniform", "--n", "2"), "12"),
             (("count", "variant", "--n", "3", "--variant", "21"), "40601"),
             (("count", "variant", "--n", "3", "--variant", "boolean_semiring"), "775"),
+            (("count", "variant", "--n", "5", "--variant", "boolean_semiring"), "42122976711"),
         ],
     )
     def test_values(self, capsys, argv, expected):
@@ -147,7 +148,7 @@ class TestFailFast:
             (("count", "monoid", "--n", "14"), "n <= 13"),
             (("count", "variant", "--variant", "02", "--n", "14"), "n <= 13"),
             (("bounds", "--n", "4"), "n <= 3"),
-            (("count", "variant", "--variant", "boolean_semiring", "--n", "5"), "n <= 4"),
+            (("count", "variant", "--variant", "boolean_semiring", "--n", "6"), "n <= 5"),
             (("count", "mirig", "--n", "4"), "free mirig census supported for n <= 3"),
             (("count", "variant", "--variant", "12", "--n", "4"), "variant 12 census supported for n <= 3"),
         ],
@@ -160,11 +161,35 @@ class TestFailFast:
     @pytest.mark.parametrize(
         "argv",
         [
+            ("count", "monoid"),
+            ("count", "mirig"),
+            ("count", "mirig", "--strategy", "triples"),
+            ("count", "replete"),
+            ("count", "uniform"),
+            ("count", "variant", "--variant", "11"),
+            ("count", "variant", "--variant", "21"),
+            ("count", "variant", "--variant", "12"),
+            ("count", "variant", "--variant", "02"),
+            ("count", "variant", "--variant", "boolean_semiring"),
+            ("enumerate", "replete"),
+            ("enumerate", "replete", "--json"),
+            ("bounds",),
+        ],
+        ids=" ".join,
+    )
+    def test_negative_n_exits_1(self, argv):
+        proc = run_child(*argv, "--n", "-1")
+        assert proc.returncode == 1 and not proc.stdout
+        assert "n must be nonnegative" in proc.stderr and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ("count", "uniform", "--n", "4"),
             ("count", "monoid", "--n", "13"),
             ("count", "variant", "--variant", "02", "--n", "13"),
             ("bounds", "--n", "3"),
-            ("count", "variant", "--variant", "boolean_semiring", "--n", "4"),
+            ("count", "variant", "--variant", "boolean_semiring", "--n", "5"),
         ],
     )
     def test_largest_census_answers(self, argv):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import random
@@ -5,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tree_reference as ref
 from mirigs.errors import CapacityError, NotASubsemigroupError
 from mirigs.monoid import (
     LEAF,
@@ -19,6 +21,7 @@ from mirigs.monoid import (
 )
 from mirigs.subsemigroups import (
     RepleteSubsemigroup,
+    _right_systems,
     alphabet_family,
     close_path_system,
     close_under_product,
@@ -34,6 +37,7 @@ from mirigs.subsemigroups import (
     path_class_size,
     replete_closure,
     replete_closure_trees,
+    union_closed_families,
     xy_factor,
 )
 from conftest import t
@@ -336,6 +340,38 @@ class TestEnumeration:
     def test_capacity(self):
         with pytest.raises(CapacityError):
             list(enumerate_replete(4))
+        with pytest.raises(CapacityError):
+            count_replete(4)
+
+    def test_negative_n(self):
+        for call in (lambda: list(enumerate_replete(-1)), lambda: count_replete(-1)):
+            with pytest.raises(ValueError, match="nonnegative"):
+                call()
+
+    def test_count_matches_enumeration(self):
+        assert [count_replete(n) for n in range(4)] == [ref.count_replete(n) for n in range(4)]
+
+    def test_right_systems_match_product_filter(self):
+        for n in range(4):
+            for fam in union_closed_families(n):
+                family = sorted(fam)
+                assert list(_right_systems(family)) == list(ref.right_systems(family)), family
+
+    # sha256 of the JSON lines of the enumeration, as `mirigs enumerate
+    # replete --n N --json` prints them; sample_triples draws from this order.
+    ENUMERATION_SHA256 = [
+        "8570b1548f61b03c17289295d4c99db6ab73b4eb95bd1ae9cd457738926b9847",
+        "4cb081858c043f8ea6e4a29240c4c3ecc22a6c547fb46f1de2777046dfc344cd",
+        "b35ba0b064263deeff1e5313429b165c886fbd4b13c8fc84f610e778918ceb03",
+        "8bfea8f33ea9eb77407633f411700dc3520cd9304aaa4c9638c6be8458b50f65",
+    ]
+
+    def test_enumeration_order_is_pinned(self):
+        for n, expected in enumerate(self.ENUMERATION_SHA256):
+            digest = hashlib.sha256()
+            for r in enumerate_replete(n):
+                digest.update(json.dumps(r.to_json()).encode() + b"\n")
+            assert digest.hexdigest() == expected, n
 
     def test_deterministic_order(self):
         first = [r.to_json() for r in itertools.islice(enumerate_replete(2), 10)]

@@ -15,7 +15,9 @@ from mirigs.subsemigroups import (
 )
 from mirigs.thickets import Thicket, expansion_step, thicket_one, thicket_zero
 from mirigs.triples import (
+    VARIANTS,
     ComplementaryTriple,
+    _upsets,
     constant,
     count_characteristic_variant,
     count_dominated,
@@ -404,6 +406,45 @@ class TestCounting:
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
             count_characteristic_variant(2, "99")
+
+    def test_negative_n(self):
+        calls = [lambda s=s: count_free_mirig(-1, s) for s in ("grouped", "triples")]
+        calls += [lambda v=v: count_characteristic_variant(-1, v) for v in VARIANTS]
+        calls.append(lambda: mirig_upper_bounds(-1))
+        for call in calls:
+            with pytest.raises(ValueError, match="nonnegative"):
+                call()
+
+
+class TestCensusReference:
+    """The histogram censuses against the per-S sums over enumerate_replete
+    in tests/tree_reference.py, and the up-set recursion against two
+    brute-force enumerations of up-sets."""
+
+    def test_censuses_match_per_s_sums(self):
+        for n in range(4):
+            assert count_free_mirig(n, "grouped") == ref.count_free_mirig_grouped(n), n
+            assert count_characteristic_variant(n, "11") == ref.count_replete(n), n
+            assert count_characteristic_variant(n, "21") == ref.count_variant_21(n), n
+            assert count_characteristic_variant(n, "12") == ref.count_variant_12(n), n
+
+    def test_upsets_are_the_dedekind_numbers(self):
+        assert [len(ref.upsets_top_down(n)) for n in range(6)] == [2, 3, 6, 20, 168, 7581]
+        for n in range(6):
+            recursive = {
+                frozenset(a for a in range(1 << n) if u >> a & 1) for u in _upsets(n)
+            }
+            assert len(recursive) == len(_upsets(n))
+            assert recursive == set(ref.upsets_top_down(n)), n
+
+    def test_boolean_semiring_matches_brute_force(self):
+        top_down = [sum(2 ** len(u) for u in ref.upsets_top_down(n)) for n in range(6)]
+        scan = [sum(2 ** len(f) for f in ref.upward_closed_families(n)) for n in range(5)]
+        computed = [count_characteristic_variant(n, "boolean_semiring") for n in range(6)]
+        assert computed == top_down == [3, 7, 35, 775, 319107, 42122976711]
+        assert scan == computed[:5]
+        with pytest.raises(CapacityError, match="n <= 5"):
+            count_characteristic_variant(6, "boolean_semiring")
 
 
 class TestExpressions:

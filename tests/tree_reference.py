@@ -11,21 +11,39 @@ into explicit trees, closes tree sets with
 with `RepleteSubsemigroup.from_trees`, where `mirigs.triples` works on path
 systems.
 
-Both are exponentially slower than the library code and are kept for tests
+The censuses here walk every replete S that `enumerate_replete` lists and
+add up a term per S, where `mirigs.triples` counts from one histogram per
+alphabet family.  `right_systems` filters the whole product of the
+per-layer catalogues, where `mirigs.subsemigroups._right_systems`
+backtracks.  `upward_closed_families` scans all 2^(2^n) families of
+subsets, and `upsets_top_down` decides the subsets one by one from the top
+down, where `mirigs.triples` builds the up-sets by recursion on n.
+
+All are exponentially slower than the library code and are kept for tests
 only.
 """
 
-from mirigs.monoid import LEAF, grf, node, tree_product
+import itertools
+
+from mirigs.monoid import LEAF, grf, node, star_right, tree_product
 from mirigs.subsemigroups import (
     RepleteSubsemigroup,
     alphabet_family,
     close_under_product,
+    closed_path_sets,
+    enumerate_replete,
     layer_of,
     replete_closure_trees,
 )
 from mirigs.quotients import N22
 from mirigs.thickets import Thicket, apparity_by_alphabet
-from mirigs.triples import ComplementaryTriple, _check_same, zero
+from mirigs.triples import (
+    ComplementaryTriple,
+    _check_same,
+    _family_masks,
+    _straggler_subset_sum,
+    zero,
+)
 
 
 def tree_of_word(w):
@@ -101,3 +119,97 @@ def triple_add(c1: ComplementaryTriple, c2: ComplementaryTriple) -> Complementar
     }
     s_trees = replete_closure_trees(close_under_product(left | right) - stragglers)
     return _triple(c1.n, s_trees, stragglers, c1.odd ^ c2.odd)
+
+
+def right_systems(family):
+    if not family:
+        yield {}
+        return
+    catalogs = [closed_path_sets(mask) for mask in family]
+    for choice in itertools.product(*catalogs):
+        system = dict(zip(family, choice))
+        ok = True
+        for a in family:
+            for b in family:
+                if a == b:
+                    continue
+                target = system[a | b]
+                if not all(
+                    star_right(p, q) in target for p in system[a] for q in system[b]
+                ):
+                    ok = False
+                    break
+            if not ok:
+                break
+        if ok:
+            yield system
+
+
+def count_replete(n):
+    return sum(1 for _ in enumerate_replete(n))
+
+
+def _minimal_single_path_masks(s):
+    family = _family_masks(s)
+    out = []
+    for mask, lp, rp in s.layers:
+        if len(lp) == 1 == len(rp) and not any(
+            b != mask and b & mask == b for b in family
+        ):
+            out.append(mask)
+    return out
+
+
+def _straggler_sum(s, base):
+    return _straggler_subset_sum(_minimal_single_path_masks(s), len(s.layers), base)
+
+
+def count_free_mirig_grouped(n):
+    return sum(
+        3 * 2 ** len(s.layers) + _straggler_sum(s, 2)
+        for s in enumerate_replete(n)
+        if not s.unit
+    )
+
+
+def count_variant_21(n):
+    return sum(2 + _straggler_sum(s, 1) for s in enumerate_replete(n) if not s.unit)
+
+
+def count_variant_12(n):
+    return 3 * sum(2 ** len(s.layers) for s in enumerate_replete(n) if not s.unit)
+
+
+def upward_closed_families(n):
+    masks = list(range(1 << n))
+    for r in range(len(masks) + 1):
+        for combo in itertools.combinations(masks, r):
+            fam = frozenset(combo)
+            if all(
+                b in fam
+                for a in fam
+                for b in masks
+                if a & b == a
+            ):
+                yield fam
+
+
+def upsets_top_down(n):
+    """The up-sets of the Boolean lattice on n atoms, by backtracking over
+    its subsets from the full one down: a subset may join only when every
+    one-atom extension of it already has."""
+    size = 1 << n
+    out = []
+
+    def decide(a, members):
+        if a < 0:
+            out.append(frozenset(members))
+            return
+        decide(a - 1, members)
+        if all(a | 1 << i in members for i in range(n) if not a >> i & 1):
+            members.add(a)
+            decide(a - 1, members)
+            members.remove(a)
+
+    decide(size - 1, set())
+    return out
