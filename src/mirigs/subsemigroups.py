@@ -451,12 +451,13 @@ def _right_systems(family: list[int]) -> Iterator[dict]:
 
     Backtracks over the layers in ascending mask order, so the systems come
     out in the order of itertools.product over the per-layer catalogues.
-    A product lands on the union of its factors' alphabets, which is at
-    least either mask, so each layer's set is checked once chosen, against
-    the layers below it (its subsets, all earlier).  Of those products only
-    star_right(t, p), t on the layer and p below, needs a check:
-    star_right(p, t) is t, and for a | b the layer, star_right(p, q) with p
-    on a and q on b is star_right(star_right(t, p), q) for any t."""
+    A product lands on the union of its factors' alphabets, a mask no
+    smaller than either, so each layer is checked when it is chosen,
+    against the layers below it (its subsets, all chosen earlier).  Only
+    star_right(t, p), with t on the layer and p below it, needs a check:
+    star_right(p, t) is t, and when the layer is a | b, star_right(p, q)
+    with p on a and q on b equals star_right(star_right(t, p), q) for any
+    t on the layer."""
     below = [[a for a in family[:i] if a & c == a] for i, c in enumerate(family)]
     chosen: dict[int, frozenset] = {}
 
