@@ -481,16 +481,18 @@ def enumerate_replete(n: int) -> Iterator[RepleteSubsemigroup]:
     check_n(n, MAX_REPLETE_N, "replete enumeration")
     for fam in sorted(union_closed_families(n), key=lambda f: (len(f), sorted(f))):
         family = sorted(fam)
-        rights = list(_right_systems(family))
-        lefts = [
-            {mask: _reverse_all(paths) for mask, paths in system.items()}
-            for system in rights
+        # Each system's paths, sorted once, per mask in ascending order: the
+        # layers of every S on the family zip one left and one right system.
+        rights = [
+            [tuple(sorted(system[mask])) for mask in family]
+            for system in _right_systems(family)
         ]
+        lefts = [[tuple(sorted(p[::-1] for p in ps)) for ps in system] for system in rights]
         for ls in lefts:
             for rs in rights:
-                layer_dict = {mask: (ls[mask], rs[mask]) for mask in family}
+                layers = tuple(zip(family, ls, rs))
                 for unit in (False, True):
-                    yield RepleteSubsemigroup.from_layer_dict(n, unit, layer_dict)
+                    yield RepleteSubsemigroup(n, unit, layers)
 
 
 def right_system_histograms(n: int) -> Iterator[tuple[frozenset[int], Counter]]:
@@ -539,6 +541,8 @@ def count_replete_bounded_height(n: int, h: int) -> int:
     """Replete subsemigroups of T_n of height at most h, in closed form."""
     import math
 
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     if h == 2:
         return 18 * n * n - 16 * n + 2
     if h == 3:

@@ -322,14 +322,17 @@ def eval_expression(expr, n: int) -> ComplementaryTriple:
 # Enumeration of dominated straggler sets and of whole triples
 
 
-def _family_masks(s: RepleteSubsemigroup) -> frozenset[int]:
-    return frozenset(mask for mask, _, _ in s.layers)
+# Bound on the memos of straggler options, per family and per side system.
+# enumerate_replete yields one family's S consecutively, the left system
+# fixed while the right one cycles through at most 36 systems (n <= 3), so
+# this many entries catch every repeat within a census.
+STRAGGLER_OPTIONS_MEMO = 128
 
 
-def _d_mask_candidates(s: RepleteSubsemigroup) -> list[int]:
-    family = _family_masks(s)
+@lru_cache(maxsize=STRAGGLER_OPTIONS_MEMO)
+def _d_mask_candidates(n: int, family: frozenset[int]) -> tuple[int, ...]:
     out = []
-    for a in range(1, 1 << s.n):
+    for a in range(1, 1 << n):
         if a in family:
             continue
         if any(b & a == b for b in family if b != a):
@@ -337,7 +340,7 @@ def _d_mask_candidates(s: RepleteSubsemigroup) -> list[int]:
         if any(a | b not in family for b in family):
             continue  # some product would land on a missing alphabet
         out.append(a)
-    return out
+    return tuple(out)
 
 
 def _compatible_paths(star, paths_of, a: int) -> list:
@@ -354,36 +357,33 @@ def _compatible_paths(star, paths_of, a: int) -> list:
     ]
 
 
-def _joint_assignments(star, paths_of, masks, options) -> list[dict]:
-    """Assignments mask -> path, one option per straggler alphabet, whose
-    pairwise star products stay among S's paths."""
-    out = []
-    for combo in itertools.product(*options):
-        assign = dict(zip(masks, combo))
+def _joint_assignments(star, paths_of, masks, options) -> tuple[tuple, ...]:
+    """Path tuples, one option per straggler alphabet in masks and in its
+    order, whose pairwise star products stay among S's paths."""
+    pairs = list(itertools.combinations(range(len(masks)), 2))
+    return tuple(
+        combo
+        for combo in itertools.product(*options)
         if all(
-            star(assign[a], assign[b]) in paths_of[a | b]
-            and star(assign[b], assign[a]) in paths_of[a | b]
-            for a, b in itertools.combinations(masks, 2)
-        ):
-            out.append(assign)
-    return out
+            star(combo[i], combo[j]) in paths_of[masks[i] | masks[j]]
+            and star(combo[j], combo[i]) in paths_of[masks[i] | masks[j]]
+            for i, j in pairs
+        )
+    )
 
 
-def _d_configs(s: RepleteSubsemigroup):
-    """Yield (masks, left-path assignment, right-path assignment) for every
-    nonempty straggler alphabet configuration dominated by s."""
-    if s.unit:
-        return
-    family = _family_masks(s)
-    lp_of = {mask: frozenset(lp) for mask, lp, _ in s.layers}
-    rp_of = {mask: frozenset(rp) for mask, _, rp in s.layers}
-    # Per candidate alphabet, the (leftmost, rightmost) paths a straggler may
-    # have so that all its products with S stay inside S.
-    options = {
-        a: (_compatible_paths(star_left, lp_of, a), _compatible_paths(star_right, rp_of, a))
-        for a in _d_mask_candidates(s)
-    }
-    candidates = [a for a, (lefts, rights) in options.items() if lefts and rights]
+@lru_cache(maxsize=STRAGGLER_OPTIONS_MEMO)
+def _side_configs(star, n: int, layers: tuple) -> dict:
+    """For one side of S, given as its (mask, paths) layers, map each
+    straggler alphabet configuration masks to its joint path assignments,
+    when there are any, in the order of itertools.combinations over the
+    candidate alphabets, smaller configurations first.  Shared by every S
+    with the same path system on this side; callers must not mutate it."""
+    family = frozenset(mask for mask, _ in layers)
+    paths_of = {mask: frozenset(paths) for mask, paths in layers}
+    options = {a: _compatible_paths(star, paths_of, a) for a in _d_mask_candidates(n, family)}
+    candidates = [a for a, paths in options.items() if paths]
+    out = {}
     for r in range(1, len(candidates) + 1):
         for masks in itertools.combinations(candidates, r):
             if any(
@@ -391,15 +391,36 @@ def _d_configs(s: RepleteSubsemigroup):
                 for a, b in itertools.combinations(masks, 2)
             ):
                 continue
-            left_assigns = _joint_assignments(
-                star_left, lp_of, masks, [options[a][0] for a in masks]
-            )
-            right_assigns = _joint_assignments(
-                star_right, rp_of, masks, [options[a][1] for a in masks]
-            )
-            for la in left_assigns:
-                for ra in right_assigns:
-                    yield masks, la, ra
+            assigns = _joint_assignments(star, paths_of, masks, [options[a] for a in masks])
+            if assigns:
+                out[masks] = assigns
+    return out
+
+
+def _side_pairs(s: RepleteSubsemigroup):
+    """Yield (masks, left-path assignments, right-path assignments) for every
+    nonempty straggler alphabet configuration that both sides of s admit.
+    A configuration admitted by both sides is a combination of the
+    alphabets that are candidates on both, so the left side's order,
+    restricted to these, is the order of their combinations."""
+    if s.unit:
+        return
+    lefts = _side_configs(star_left, s.n, tuple((mask, lp) for mask, lp, _ in s.layers))
+    rights = _side_configs(star_right, s.n, tuple((mask, rp) for mask, _, rp in s.layers))
+    for masks, las in lefts.items():
+        ras = rights.get(masks)
+        if ras:
+            yield masks, las, ras
+
+
+def _d_configs(s: RepleteSubsemigroup):
+    """Yield (masks, leftmost paths, rightmost paths) for every nonempty
+    straggler alphabet configuration dominated by s, one path of each side
+    per alphabet in masks, in its order."""
+    for masks, las, ras in _side_pairs(s):
+        for la in las:
+            for ra in ras:
+                yield masks, la, ra
 
 
 def count_dominated(s: RepleteSubsemigroup) -> int:
@@ -408,8 +429,10 @@ def count_dominated(s: RepleteSubsemigroup) -> int:
     if s.unit:
         return total
     total += 1  # the trivial tree alone
-    for masks, _, _ in _d_configs(s):
-        total += math.prod(path_class_size(mask_size(a)) ** 2 for a in masks)
+    for masks, las, ras in _side_pairs(s):
+        total += len(las) * len(ras) * math.prod(
+            path_class_size(mask_size(a)) ** 2 for a in masks
+        )
     return total
 
 
@@ -426,8 +449,8 @@ def enumerate_dominated(s: RepleteSubsemigroup) -> Iterator[FrozenSet[Tree]]:
     if s.unit:
         return
     yield frozenset({LEAF})
-    for masks, la, ra in _d_configs(s):
-        per_mask = [_trees_with_paths(la[a], ra[a]) for a in masks]
+    for _, la, ra in _d_configs(s):
+        per_mask = [_trees_with_paths(lam, rho) for lam, rho in zip(la, ra)]
         for choice in itertools.product(*per_mask):
             yield frozenset(choice)
 

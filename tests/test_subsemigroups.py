@@ -408,6 +408,11 @@ class TestCountingFormulas:
         with pytest.raises(ValueError):
             count_replete_bounded_height(3, 4)
 
+    def test_bounded_height_negative_n(self):
+        for h in (2, 3):
+            with pytest.raises(ValueError, match="n must be nonnegative"):
+                count_replete_bounded_height(-1, h)
+
 
 class TestJson:
     def test_roundtrip(self):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import random
@@ -8,10 +9,12 @@ from hypothesis import given, settings, strategies as st
 import tree_reference as ref
 from mirigs.errors import CapacityError, ParseError
 from mirigs.monoid import LEAF, MAX_TREE_NESTING, all_trees, gen_tree
+from mirigs import triples
 from mirigs.subsemigroups import (
     RepleteSubsemigroup,
     enumerate_replete,
     replete_closure_trees,
+    right_system_histograms,
 )
 from mirigs.thickets import Thicket, expansion_step, thicket_one, thicket_zero
 from mirigs.triples import (
@@ -359,6 +362,52 @@ class TestDominatedSets:
                         ):
                             count += 1
             assert count == count_dominated(s), s.layers
+
+
+class TestDominatedReference:
+    """The dominated sets against tests/tree_reference.py, which works out
+    each S's straggler options from scratch, where the library shares each
+    side's options between the S with equal path systems on that side."""
+
+    def test_count_dominated_n3(self):
+        for s in enumerate_replete(3):
+            assert count_dominated(s) == ref.count_dominated(s), s.layers
+
+    def test_enumerate_dominated_order(self):
+        rng = random.Random(41)
+        pool = list(enumerate_replete(2)) + rng.sample(list(enumerate_replete(3)), 120)
+        for s in pool:
+            assert list(enumerate_dominated(s)) == list(ref.enumerate_dominated(s)), s.layers
+
+    @pytest.mark.parametrize(
+        "make, digest",
+        [
+            (
+                lambda: list(enumerate_triples(2)),
+                "4225cdf4ecbb3f0829e5cc3c25951f294001ecab02359f6ac54ac63df0b31460",
+            ),
+            (
+                lambda: sample_triples(3, 40, seed=5),
+                "52fea9f33e8f0d35e37c56b165bf48e266543a91df6e145ac70f227b458ce244",
+            ),
+        ],
+        ids=["enumerate_triples_2", "sample_triples_3_40_5"],
+    )
+    def test_order_sensitive_consumers_pinned(self, make, digest):
+        # Both list the dominated sets in enumerate_dominated's order, and
+        # sample_triples draws from that list, so a change of order shows.
+        text = json.dumps([c.to_json() for c in make()], sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_census_shares_side_options(self):
+        # Each side's options are worked out once per distinct path system
+        # of a family (R(fam) right systems and their mirror images), not
+        # once per S.
+        triples._side_configs.cache_clear()
+        assert count_free_mirig(3, "triples") == 515861
+        systems = sum(sum(hist.values()) for _, hist in right_system_histograms(3))
+        assert systems == 573
+        assert triples._side_configs.cache_info().misses == 2 * systems
 
 
 class TestCounting:

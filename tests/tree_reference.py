@@ -19,13 +19,26 @@ backtracks.  `upward_closed_families` scans all 2^(2^n) families of
 subsets, and `upsets_top_down` decides the subsets one by one from the top
 down, where `mirigs.triples` builds the up-sets by recursion on n.
 
-All are exponentially slower than the library code and are kept for tests
-only.
+`_d_configs` works out each S's straggler options from scratch, where
+`mirigs.triples` shares each side's options between the S with the same
+path system on that side.
+
+All are slower than the library code, most of them exponentially, and are
+kept for tests only.
 """
 
 import itertools
+import math
 
-from mirigs.monoid import LEAF, grf, node, star_right, tree_product
+from mirigs.monoid import (
+    LEAF,
+    grf,
+    mask_size,
+    node,
+    star_left,
+    star_right,
+    tree_product,
+)
 from mirigs.subsemigroups import (
     RepleteSubsemigroup,
     alphabet_family,
@@ -33,6 +46,7 @@ from mirigs.subsemigroups import (
     closed_path_sets,
     enumerate_replete,
     layer_of,
+    path_class_size,
     replete_closure_trees,
 )
 from mirigs.quotients import N22
@@ -40,8 +54,9 @@ from mirigs.thickets import Thicket, apparity_by_alphabet
 from mirigs.triples import (
     ComplementaryTriple,
     _check_same,
-    _family_masks,
+    _compatible_paths,
     _straggler_subset_sum,
+    _trees_with_paths,
     zero,
 )
 
@@ -119,6 +134,10 @@ def triple_add(c1: ComplementaryTriple, c2: ComplementaryTriple) -> Complementar
     }
     s_trees = replete_closure_trees(close_under_product(left | right) - stragglers)
     return _triple(c1.n, s_trees, stragglers, c1.odd ^ c2.odd)
+
+
+def _family_masks(s):
+    return frozenset(mask for mask, _, _ in s.layers)
 
 
 def right_systems(family):
@@ -213,3 +232,87 @@ def upsets_top_down(n):
 
     decide(size - 1, set())
     return out
+
+
+def _d_mask_candidates(s):
+    family = _family_masks(s)
+    out = []
+    for a in range(1, 1 << s.n):
+        if a in family:
+            continue
+        if any(b & a == b for b in family if b != a):
+            continue  # a strict subset is present, so a could not be minimal
+        if any(a | b not in family for b in family):
+            continue  # some product would land on a missing alphabet
+        out.append(a)
+    return out
+
+
+def _joint_assignments(star, paths_of, masks, options):
+    """Assignments mask -> path, one option per straggler alphabet, whose
+    pairwise star products stay among S's paths."""
+    out = []
+    for combo in itertools.product(*options):
+        assign = dict(zip(masks, combo))
+        if all(
+            star(assign[a], assign[b]) in paths_of[a | b]
+            and star(assign[b], assign[a]) in paths_of[a | b]
+            for a, b in itertools.combinations(masks, 2)
+        ):
+            out.append(assign)
+    return out
+
+
+def _d_configs(s):
+    """Yield (masks, left-path assignment, right-path assignment) for every
+    nonempty straggler alphabet configuration dominated by s."""
+    if s.unit:
+        return
+    family = _family_masks(s)
+    lp_of = {mask: frozenset(lp) for mask, lp, _ in s.layers}
+    rp_of = {mask: frozenset(rp) for mask, _, rp in s.layers}
+    # Per candidate alphabet, the (leftmost, rightmost) paths a straggler may
+    # have so that all its products with S stay inside S.
+    options = {
+        a: (_compatible_paths(star_left, lp_of, a), _compatible_paths(star_right, rp_of, a))
+        for a in _d_mask_candidates(s)
+    }
+    candidates = [a for a, (lefts, rights) in options.items() if lefts and rights]
+    for r in range(1, len(candidates) + 1):
+        for masks in itertools.combinations(candidates, r):
+            if any(
+                (a & b) in (a, b) or (a | b) not in family
+                for a, b in itertools.combinations(masks, 2)
+            ):
+                continue
+            left_assigns = _joint_assignments(
+                star_left, lp_of, masks, [options[a][0] for a in masks]
+            )
+            right_assigns = _joint_assignments(
+                star_right, rp_of, masks, [options[a][1] for a in masks]
+            )
+            for la in left_assigns:
+                for ra in right_assigns:
+                    yield masks, la, ra
+
+
+def count_dominated(s):
+    """Number of sparse sets dominated by s."""
+    total = 1  # the empty set
+    if s.unit:
+        return total
+    total += 1  # the trivial tree alone
+    for masks, _, _ in _d_configs(s):
+        total += math.prod(path_class_size(mask_size(a)) ** 2 for a in masks)
+    return total
+
+
+def enumerate_dominated(s):
+    yield frozenset()
+    if s.unit:
+        return
+    yield frozenset({LEAF})
+    for masks, la, ra in _d_configs(s):
+        per_mask = [_trees_with_paths(la[a], ra[a]) for a in masks]
+        for choice in itertools.product(*per_mask):
+            yield frozenset(choice)
