@@ -62,13 +62,6 @@ def _render_triple_text(c: ComplementaryTriple) -> str:
     )
 
 
-def _infer_n(words, given):
-    if given is not None:
-        return given
-    top = max((max(w, default=-1) for w in words), default=-1)
-    return top + 1
-
-
 def cmd_word_normalize(args) -> int:
     w = parse_word(_payload(args.word), args.n)
     t = tree_of_word(w)

@@ -119,25 +119,11 @@ def path_class(sigma: tuple[int, ...], side: str = "right"):
 
 def close_right(paths) -> frozenset:
     """Least within-layer-closed superset of equal-support right paths."""
-    ps = set(paths)
-    grew = True
-    while grew:
-        grew = False
-        for rho, tau in itertools.product(list(ps), repeat=2):
-            for j in range(1, len(tau) + 1):
-                q = star_right(rho, tau[j - 1:])
-                if q not in ps:
-                    ps.add(q)
-                    grew = True
-    return frozenset(ps)
-
-
-def _reverse_all(paths):
-    return frozenset(tuple(reversed(p)) for p in paths)
+    return _close_rights(paths, replete=True)
 
 
 def close_left(paths) -> frozenset:
-    return _reverse_all(close_right(_reverse_all(paths)))
+    return _mirror(close_right(_mirror(paths)))
 
 
 @lru_cache(maxsize=None)
@@ -181,45 +167,42 @@ def expand_layer(mask: int, left_paths, right_paths) -> TreeSet:
 # system falls into one layer per alphabet; the trivial tree's path is the
 # empty one, on alphabet 0.  Since lmp(s*t) = star_left(lmp s, lmp t) and
 # rmp(s*t) = star_right(rmp s, rmp t), the paths of a product closure are
-# the star closure of the paths, each side on its own.  A replete layer is
-# the full branch product of its path classes, so the least replete
-# subsemigroup containing a tree set depends only on its two path systems.
+# the star closure of the paths, each side on its own: star_right(p, q) is
+# in the system for p and q on any two layers.  A replete layer is the full
+# branch product of its path classes, so the least replete subsemigroup
+# containing a tree set depends only on its two path systems; a replete
+# layer's right paths are also closed within the layer: star_right(p, s) is
+# in it for p and q on the layer and s any suffix of q.
 
 
 def _close_rights(paths, replete: bool) -> frozenset:
     """Star closure of a right path system, and with replete the
-    within-layer closure too, each new path met with every path so far."""
-    layers: dict[int, set] = {}
-    for p in paths:
-        layers.setdefault(mask_of(p), set()).add(p)
-    frontier = [(a, p) for a, ps in layers.items() for p in ps]
-    while True:
-        while frontier:
-            fresh = []
-            for a, p in frontier:
-                for b, qs in list(layers.items()):
-                    if a == b:
-                        continue
-                    target = layers.setdefault(a | b, set())
-                    for q in list(qs):
-                        # star_right(x, y) is y when x's alphabet lies in y's.
-                        pq = star_right(p, q) if a & ~b else q
-                        qp = star_right(q, p) if b & ~a else p
-                        for r in (pq, qp):
-                            if r not in target:
-                                target.add(r)
-                                fresh.append((a | b, r))
-            frontier = fresh
-        if not replete:
-            break
-        for a, ps in layers.items():
-            if a:
-                frontier += [(a, p) for p in close_right(ps) - ps]
-        if not frontier:
-            break
-        for a, p in frontier:
-            layers[a].add(p)
-    return frozenset(p for ps in layers.values() for p in ps)
+    within-layer closure too.  Semi-naive: each path, once taken from the
+    worklist, is met with itself and each path taken before it, so every
+    pair is met once."""
+    closed = set(paths)
+    frontier = [(mask_of(p), p) for p in closed]
+    done: dict[int, list] = {}
+    while frontier:
+        a, p = frontier.pop()
+        done.setdefault(a, []).append(p)
+        for b, qs in done.items():
+            if a == b and not replete:
+                continue
+            for q in qs:
+                # star_right(x, y) is y when x's alphabet lies in y's.
+                # Within a layer, a suffix one letter short gives its whole
+                # path back too, so only shorter ones can add a path.
+                if a != b:
+                    out = (star_right(p, q) if a & ~b else q, star_right(q, p) if b & ~a else p)
+                else:
+                    out = [star_right(p, q[j:]) for j in range(2, len(q))]
+                    out += [star_right(q, p[j:]) for j in range(2, len(p))]
+                for r in out:
+                    if r not in closed:
+                        closed.add(r)
+                        frontier.append((a | b, r))
+    return frozenset(closed)
 
 
 def _mirror(paths) -> frozenset:

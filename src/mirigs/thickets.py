@@ -64,11 +64,6 @@ class Thicket:
             self.rig,
         )
 
-    def with_coeff(self, t: Tree, c: int) -> "Thicket":
-        coeffs = dict(self._coeffs)
-        coeffs[t] = c
-        return Thicket(self.n, coeffs, self.rig)
-
     def __eq__(self, other):
         return (
             isinstance(other, Thicket)

@@ -537,7 +537,7 @@ def count_free_mirig(n: int, strategy: str = "grouped") -> int:
     check_n(n, MAX_REPLETE_N, "free mirig census")
     if strategy == "triples":
         return sum(
-            count_dominated(s) * 2 ** len(s.alphabet_masks())
+            count_dominated(s) * 2 ** (len(s.layers) + s.unit)
             for s in enumerate_replete(n)
         )
     if strategy != "grouped":

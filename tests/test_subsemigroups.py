@@ -23,7 +23,9 @@ from mirigs.subsemigroups import (
     RepleteSubsemigroup,
     _right_systems,
     alphabet_family,
+    close_left,
     close_path_system,
+    close_right,
     close_under_product,
     closed_path_sets,
     count_replete,
@@ -204,6 +206,43 @@ class TestPathSystemClosure:
         assert close_path_system({()}, {()}, replete=True) == ({()}, {()})
         lefts, rights = close_path_system({(0,), (1,)}, {(0,), (1,)})
         assert lefts == {(0,), (1,), (0, 1), (1, 0)} == rights
+
+
+def _random_path(rng, n):
+    return tuple(rng.sample(range(n), rng.randint(0, n)))
+
+
+class TestClosureReference:
+    """The semi-naive closures against the naive ones in
+    tests/tree_reference.py, which also reach n >= 4, where the tree-level
+    route is too slow."""
+
+    def test_close_right_left_on_abc(self):
+        perms = list(itertools.permutations(range(3)))
+        for r in range(1, len(perms) + 1):
+            for paths in itertools.combinations(perms, r):
+                assert close_right(paths) == ref.close_right(paths), paths
+                assert close_left(paths) == ref.close_left(paths), paths
+
+    @pytest.mark.parametrize("k", [4, 5])
+    def test_close_right_left_sampled(self, k):
+        rng = random.Random(k)
+        perms = list(itertools.permutations(range(k)))
+        for _ in range(30):
+            paths = rng.sample(perms, rng.randint(1, 4))
+            assert close_right(paths) == ref.close_right(paths), paths
+            assert close_left(paths) == ref.close_left(paths), paths
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("replete", [False, True])
+    def test_close_path_system(self, n, replete):
+        rng = random.Random(10 * n + replete)
+        for _ in range(30):
+            lefts = {_random_path(rng, n) for _ in range(rng.randint(1, 4))}
+            rights = {_random_path(rng, n) for _ in range(rng.randint(1, 4))}
+            assert close_path_system(lefts, rights, replete) == ref.close_path_system(
+                lefts, rights, replete
+            ), (lefts, rights)
 
 
 class TestBranchSets:

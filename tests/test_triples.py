@@ -518,6 +518,16 @@ class TestExpressions:
         g = Thicket(2, {A: 1}) * Thicket(2, {B: 1}) + Thicket(2, {B: 1})
         assert normalize_thicket(g) == eval_expression("a*b+b", 2)
 
+    def test_n5_triple_pinned(self):
+        # A full five-generator triple; past n = 3 the tree-level route is
+        # too slow to serve as the reference, so the answer is pinned.
+        c = eval_expression("(a+b+c+d+e)*(a*b+c*d+e)", 5)
+        text = json.dumps(c.to_json(), sort_keys=True)
+        assert (
+            hashlib.sha256(text.encode()).hexdigest()
+            == "0c659fe9aef2be91cb7d0755c7b06d7fc4b0fe5b5f9e3505050ff8fc51734709"
+        )
+
 
 class TestJson:
     def test_roundtrip(self, c2_elements):

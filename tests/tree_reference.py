@@ -19,6 +19,11 @@ backtracks.  `upward_closed_families` scans all 2^(2^n) families of
 subsets, and `upsets_top_down` decides the subsets one by one from the top
 down, where `mirigs.triples` builds the up-sets by recursion on n.
 
+`close_right` re-meets every pair of a layer with every suffix after each
+growth, and `close_rights` alternates a star closure with it until neither
+adds a path, where `mirigs.subsemigroups._close_rights` meets each new path
+once with the paths before it under both rules.
+
 `_d_configs` works out each S's straggler options from scratch, where
 `mirigs.triples` shares each side's options between the S with the same
 path system on that side.
@@ -33,6 +38,7 @@ import math
 from mirigs.monoid import (
     LEAF,
     grf,
+    mask_of,
     mask_size,
     node,
     star_left,
@@ -66,6 +72,69 @@ def tree_of_word(w):
         return LEAF
     d = grf(w)
     return node(tree_of_word(d.p), d.a, d.b, tree_of_word(d.q))
+
+
+def close_right(paths) -> frozenset:
+    """Least within-layer-closed superset of equal-support right paths."""
+    ps = set(paths)
+    grew = True
+    while grew:
+        grew = False
+        for rho, tau in itertools.product(list(ps), repeat=2):
+            for j in range(1, len(tau) + 1):
+                q = star_right(rho, tau[j - 1:])
+                if q not in ps:
+                    ps.add(q)
+                    grew = True
+    return frozenset(ps)
+
+
+def _mirror(paths) -> frozenset:
+    return frozenset(p[::-1] for p in paths)
+
+
+def close_left(paths) -> frozenset:
+    return _mirror(close_right(_mirror(paths)))
+
+
+def close_rights(paths, replete: bool) -> frozenset:
+    """Star closure of a right path system, and with replete the
+    within-layer closure too, each new path met with every path so far."""
+    layers: dict[int, set] = {}
+    for p in paths:
+        layers.setdefault(mask_of(p), set()).add(p)
+    frontier = [(a, p) for a, ps in layers.items() for p in ps]
+    while True:
+        while frontier:
+            fresh = []
+            for a, p in frontier:
+                for b, qs in list(layers.items()):
+                    if a == b:
+                        continue
+                    target = layers.setdefault(a | b, set())
+                    for q in list(qs):
+                        # star_right(x, y) is y when x's alphabet lies in y's.
+                        pq = star_right(p, q) if a & ~b else q
+                        qp = star_right(q, p) if b & ~a else p
+                        for r in (pq, qp):
+                            if r not in target:
+                                target.add(r)
+                                fresh.append((a | b, r))
+            frontier = fresh
+        if not replete:
+            break
+        for a, ps in layers.items():
+            if a:
+                frontier += [(a, p) for p in close_right(ps) - ps]
+        if not frontier:
+            break
+        for a, p in frontier:
+            layers[a].add(p)
+    return frozenset(p for ps in layers.values() for p in ps)
+
+
+def close_path_system(lefts, rights, replete: bool = False):
+    return _mirror(close_rights(_mirror(lefts), replete)), close_rights(rights, replete)
 
 
 def _triple(n: int, s_trees, d, odd) -> ComplementaryTriple:
