@@ -10,6 +10,7 @@ class ParseError(ValueError):
 
     def __init__(self, message, offset):
         super().__init__(f"{message} (at byte {offset})")
+        self.message = message
         self.offset = offset
 
 

@@ -145,6 +145,57 @@ def closed_path_sets(mask: int) -> tuple[frozenset, ...]:
     return tuple(sorted(out, key=lambda s: (len(s), sorted(s))))
 
 
+# ---------------------------------------------------------------------------
+# Path bitsets
+#
+# The censuses number every path once, so that a set of paths is an int
+# and the star-product checks of the catalogue are ANDs of ints.
+
+
+@lru_cache(maxsize=None)
+def path_bits() -> dict[tuple, int]:
+    """A fixed bit for every nonempty path on the first MAX_REPLETE_N
+    letters, numbered by alphabet mask, then in the order of
+    itertools.permutations."""
+    paths = [
+        p
+        for mask in range(1, 1 << MAX_REPLETE_N)
+        for p in itertools.permutations(mask_members(mask))
+    ]
+    return {p: 1 << i for i, p in enumerate(paths)}
+
+
+def bits_of(paths) -> int:
+    bit = path_bits()
+    out = 0
+    for p in paths:
+        out |= bit[p]
+    return out
+
+
+@lru_cache(maxsize=None)
+def closed_path_set_bits(mask: int) -> tuple[tuple[frozenset, int, int], ...]:
+    """closed_path_sets(mask), each entry with the bits of its own paths and
+    the bits of the paths p on proper sub-alphabets of mask that it admits:
+    star_right(t, p) is in the entry for every t in it."""
+    check_n(mask.bit_length(), MAX_REPLETE_N, "path-set catalogue")
+    below = [
+        p
+        for a in range(1, mask)
+        if a & mask == a
+        for p in itertools.permutations(mask_members(a))
+    ]
+    bit = path_bits()
+    out = []
+    for target in closed_path_sets(mask):
+        admitted = 0
+        for p in below:
+            if all(star_right(t, p) in target for t in target):
+                admitted |= bit[p]
+        out.append((target, bits_of(target), admitted))
+    return tuple(out)
+
+
 def expand_layer(mask: int, left_paths, right_paths) -> TreeSet:
     """All trees on `mask` whose leftmost path lies in left_paths and whose
     rightmost path lies in right_paths."""
@@ -440,19 +491,24 @@ def _right_systems(family: list[int]) -> Iterator[dict]:
     star_right(t, p), with t on the layer and p below it, needs a check:
     star_right(p, t) is t, and when the layer is a | b, star_right(p, q)
     with p on a and q on b equals star_right(star_right(t, p), q) for any
-    t on the layer."""
+    t on the layer.  The check is one AND: the paths below must all be
+    among those the catalogue entry admits (closed_path_set_bits)."""
     below = [[a for a in family[:i] if a & c == a] for i, c in enumerate(family)]
     chosen: dict[int, frozenset] = {}
+    chosen_bits: dict[int, int] = {}
 
     def extend(i: int) -> Iterator[dict]:
         if i == len(family):
             yield dict(chosen)
             return
         c = family[i]
-        lower = [p for a in below[i] for p in chosen[a]]
-        for target in closed_path_sets(c):
-            if all(star_right(t, p) in target for t in target for p in lower):
+        lower = 0
+        for a in below[i]:
+            lower |= chosen_bits[a]
+        for target, own, admitted in closed_path_set_bits(c):
+            if not lower & ~admitted:
                 chosen[c] = target
+                chosen_bits[c] = own
                 yield from extend(i + 1)
         chosen.pop(c, None)
 

@@ -161,20 +161,25 @@ def render_thicket(f: Thicket) -> str:
 
 
 def parse_thicket(text: str, n: int, rig: CoefficientRig = N22) -> Thicket:
+    """Parse the text format above.  Errors carry the byte offset, in the
+    whole text, of the bad term (the end of its chunk when it is blank) or
+    of the bad character of its word."""
     coeffs: dict[Tree, int] = {}
-    pos = 0
-    stripped = text.strip()
-    if stripped == "0":
+    if text.strip() == "0":
         return Thicket(n, {}, rig)
-    for chunk in stripped.split("+"):
-        term = chunk.strip()
-        if "*" not in term:
-            raise ParseError("expected 'coefficient*word' term", pos + text.find(chunk))
-        k_text, word_text = term.split("*", 1)
+    start = 0  # offset of the chunk
+    for chunk in text.split("+"):
+        k_text, star, word_text = chunk.partition("*")
+        k_text = k_text.strip()
+        if not (star and k_text.isascii() and k_text.isdigit()):
+            message = "invalid coefficient" if star else "expected 'coefficient*word' term"
+            raise ParseError(message, start + len(chunk) - len(chunk.lstrip()))
         try:
-            k = int(k_text.strip())
-        except ValueError:
-            raise ParseError("invalid coefficient", pos + text.find(chunk)) from None
-        t = tree_of_word(parse_word(word_text.strip(), n))
-        coeffs[t] = rig.add(coeffs.get(t, 0), k)
+            w = parse_word(word_text.strip(), n)
+        except ParseError as exc:
+            word_start = start + len(chunk) - len(word_text.lstrip())
+            raise ParseError(exc.message, word_start + exc.offset) from None
+        t = tree_of_word(w)
+        coeffs[t] = rig.add(coeffs.get(t, 0), int(k_text))
+        start += len(chunk) + 1
     return Thicket(n, coeffs, rig)

@@ -41,6 +41,7 @@ from .monoid import (
 from .subsemigroups import (
     MAX_REPLETE_N,
     RepleteSubsemigroup,
+    bits_of,
     close_path_system,
     close_under_product,  # not called here; perfbench wraps it as triples.close_under_product
     count_replete,
@@ -48,6 +49,7 @@ from .subsemigroups import (
     is_replete,
     is_subsemigroup,
     layer_of,
+    path_bits,
     path_class_size,
     right_system_histograms,
 )
@@ -343,32 +345,48 @@ def _d_mask_candidates(n: int, family: frozenset[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _compatible_paths(star, paths_of, a: int) -> list:
-    """Paths on alphabet a whose star products with every path of S, in
-    either order, stay among S's paths on the joint alphabet."""
-    return [
-        rho
-        for rho in itertools.permutations(mask_members(a))
-        if all(
-            star(rho, sigma) in paths_of[a | b] and star(sigma, rho) in paths_of[a | b]
-            for b, ps in paths_of.items()
-            for sigma in ps
-        )
-    ]
+# The star checks below are ANDs of path bitsets (see path_bits): a
+# straggler path rho may sit beside a side of S when the bits of its star
+# products with the side's paths, in both orders, lie within the side's.
 
 
-def _joint_assignments(star, paths_of, masks, options) -> tuple[tuple, ...]:
-    """Path tuples, one option per straggler alphabet in masks and in its
-    order, whose pairwise star products stay among S's paths."""
-    pairs = list(itertools.combinations(range(len(masks)), 2))
+@lru_cache(maxsize=2)
+def _star_pair_bits(star) -> dict[tuple, dict[tuple, int]]:
+    """For every two paths rho and sigma that path_bits numbers, the bits of
+    star(rho, sigma) and star(sigma, rho)."""
+    bit = path_bits()
+    return {
+        rho: {sigma: bit[star(rho, sigma)] | bit[star(sigma, rho)] for sigma in bit}
+        for rho in bit
+    }
+
+
+def _compatible_paths(star, paths, a: int) -> list:
+    """Paths on alphabet a whose star products with every path of one side
+    of S (paths), in either order, stay among that side's paths."""
+    pair_bits = _star_pair_bits(star)
+    outside = ~bits_of(paths)
+    out = []
+    for rho in itertools.permutations(mask_members(a)):
+        row = pair_bits[rho]
+        products = 0
+        for sigma in paths:
+            products |= row[sigma]
+        if not products & outside:
+            out.append(rho)
+    return out
+
+
+def _joint_assignments(star, paths, options) -> tuple[tuple, ...]:
+    """Path tuples, one option per straggler alphabet and in its order,
+    whose pairwise star products stay among the side's paths."""
+    pair_bits = _star_pair_bits(star)
+    outside = ~bits_of(paths)
+    pairs = list(itertools.combinations(range(len(options)), 2))
     return tuple(
         combo
         for combo in itertools.product(*options)
-        if all(
-            star(combo[i], combo[j]) in paths_of[masks[i] | masks[j]]
-            and star(combo[j], combo[i]) in paths_of[masks[i] | masks[j]]
-            for i, j in pairs
-        )
+        if not any(pair_bits[combo[i]][combo[j]] & outside for i, j in pairs)
     )
 
 
@@ -379,10 +397,11 @@ def _side_configs(star, n: int, layers: tuple) -> dict:
     when there are any, in the order of itertools.combinations over the
     candidate alphabets, smaller configurations first.  Shared by every S
     with the same path system on this side; callers must not mutate it."""
+    check_n(n, MAX_REPLETE_N, "straggler options")
     family = frozenset(mask for mask, _ in layers)
-    paths_of = {mask: frozenset(paths) for mask, paths in layers}
-    options = {a: _compatible_paths(star, paths_of, a) for a in _d_mask_candidates(n, family)}
-    candidates = [a for a, paths in options.items() if paths]
+    paths = [p for _, ps in layers for p in ps]
+    options = {a: _compatible_paths(star, paths, a) for a in _d_mask_candidates(n, family)}
+    candidates = [a for a, opts in options.items() if opts]
     out = {}
     for r in range(1, len(candidates) + 1):
         for masks in itertools.combinations(candidates, r):
@@ -391,7 +410,7 @@ def _side_configs(star, n: int, layers: tuple) -> dict:
                 for a, b in itertools.combinations(masks, 2)
             ):
                 continue
-            assigns = _joint_assignments(star, paths_of, masks, [options[a] for a in masks])
+            assigns = _joint_assignments(star, paths, [options[a] for a in masks])
             if assigns:
                 out[masks] = assigns
     return out

@@ -1,9 +1,11 @@
-"""Smoke test of the benchmark: one short arith run must end in a result line.
+"""Smoke test of the benchmark: one short run of a workload must end in a
+result line.
 
 perfbench/run.py reports its result as the last stdout line (see
 perfbench/README.md), so a run that prints anything after it, or fails a
 workload, gives no result.  arith is the workload that runs the
-path-system closures."""
+path-system closures, census the one that runs the catalogue and
+straggler-option bitsets."""
 
 import json
 import math
@@ -11,12 +13,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_arith_run_ends_in_a_result_line():
+@pytest.mark.parametrize("workload", ["arith", "census"])
+def test_run_ends_in_a_result_line(workload):
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "arith", "--seed", "1", "--seconds", "1"],
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1", "--seconds", "1"],
         cwd=ROOT,
         capture_output=True,
         text=True,

@@ -151,6 +151,7 @@ class TestFailFast:
             (("count", "variant", "--variant", "boolean_semiring", "--n", "6"), "n <= 5"),
             (("count", "mirig", "--n", "4"), "free mirig census supported for n <= 3"),
             (("count", "variant", "--variant", "12", "--n", "4"), "variant 12 census supported for n <= 3"),
+            (("campion", "--monoid", "free:4"), "free idempotent monoid table supported for n <= 3"),
         ],
     )
     def test_census_past_capacity_exits_1(self, argv, limit):
@@ -179,6 +180,11 @@ class TestFailFast:
     )
     def test_negative_n_exits_1(self, argv):
         proc = run_child(*argv, "--n", "-1")
+        assert proc.returncode == 1 and not proc.stdout
+        assert "n must be nonnegative" in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_campion_negative_free_monoid_exits_1(self):
+        proc = run_child("campion", "--monoid", "free:-1")
         assert proc.returncode == 1 and not proc.stdout
         assert "n must be nonnegative" in proc.stderr and "Traceback" not in proc.stderr
 

@@ -14,19 +14,23 @@ from mirigs.monoid import (
     enumerate_trees,
     gen_tree,
     lmp,
+    mask_members,
     mask_of,
     node,
     rmp,
+    star_right,
     tree_product,
 )
 from mirigs.subsemigroups import (
     RepleteSubsemigroup,
     _right_systems,
     alphabet_family,
+    bits_of,
     close_left,
     close_path_system,
     close_right,
     close_under_product,
+    closed_path_set_bits,
     closed_path_sets,
     count_replete,
     count_replete_bounded_height,
@@ -35,6 +39,7 @@ from mirigs.subsemigroups import (
     is_replete,
     is_replete_definitional,
     is_subsemigroup,
+    path_bits,
     path_class,
     path_class_size,
     replete_closure,
@@ -335,6 +340,36 @@ class TestPathClasses:
         assert len(closed_path_sets(0b111)) == 22
         assert len(closed_path_sets(0b11)) == 3
         assert len(closed_path_sets(0b1)) == 1
+
+    def test_path_bits_number_every_short_path_once(self):
+        bits = path_bits()
+        assert len(bits) == 15  # 3 + 6 + 6 paths on 1, 2 and 3 of 3 letters
+        assert sorted(bits.values()) == [1 << i for i in range(15)]
+        assert list(bits)[:4] == [(0,), (1,), (0, 1), (1, 0)]
+
+    def test_catalogue_bits_match_star_checks(self):
+        # Per catalogue entry, its own bits and, per path p on a proper
+        # sub-alphabet, whether every star_right(t, p) lands in the entry.
+        bits = path_bits()
+        for mask in range(1, 8):
+            below = [
+                p
+                for a in range(1, mask)
+                if a & mask == a
+                for p in itertools.permutations(mask_members(a))
+            ]
+            entries = closed_path_set_bits(mask)
+            assert [target for target, _, _ in entries] == list(closed_path_sets(mask))
+            for target, own, admitted in entries:
+                assert own == bits_of(target)
+                for p in below:
+                    expected = all(star_right(t, p) in target for t in target)
+                    assert bool(admitted & bits[p]) == expected, (mask, sorted(target), p)
+                assert not admitted & ~bits_of(below)
+
+    def test_catalogue_bits_capacity(self):
+        with pytest.raises(CapacityError):
+            closed_path_set_bits(0b1000)
 
     def test_closed_pair_structure(self):
         # the closed two-element sets share first or last generator

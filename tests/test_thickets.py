@@ -124,6 +124,27 @@ class TestTextFormat:
         with pytest.raises(ParseError):
             parse_thicket("x*ab", 2)
 
+    @pytest.mark.parametrize(
+        "text, offset",
+        [
+            ("-1*a", 0),  # NAT has no sign
+            ("1*a + -1*b", 6),
+            ("1_0*a", 0),
+            ("1*ab + 1*ba + 1*aX", 17),  # the bad letter, not its place in the word
+            ("3*ab + 3* b a", 11),
+            ("1*a + ", 6),  # the blank term ends the text
+            ("1*a +  + 1*b", 7),
+            ("  x*ab", 2),
+        ],
+    )
+    def test_parse_error_offsets(self, text, offset):
+        with pytest.raises(ParseError) as info:
+            parse_thicket(text, 2)
+        assert info.value.offset == offset
+
+    def test_parse_accepts_blanks_around_tokens(self):
+        assert parse_thicket("  2 * ab  +3*ba ", 2) == parse_thicket("2*ab + 3*ba", 2)
+
     def test_roundtrip(self):
         rng = random.Random(12)
         for _ in range(50):

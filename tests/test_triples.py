@@ -8,13 +8,15 @@ from hypothesis import given, settings, strategies as st
 
 import tree_reference as ref
 from mirigs.errors import CapacityError, ParseError
-from mirigs.monoid import LEAF, MAX_TREE_NESTING, all_trees, gen_tree
+from mirigs.monoid import LEAF, MAX_TREE_NESTING, all_trees, gen_tree, star_left, star_right
 from mirigs import triples
 from mirigs.subsemigroups import (
     RepleteSubsemigroup,
+    _right_systems,
     enumerate_replete,
     replete_closure_trees,
     right_system_histograms,
+    union_closed_families,
 )
 from mirigs.thickets import Thicket, expansion_step, thicket_one, thicket_zero
 from mirigs.triples import (
@@ -398,6 +400,29 @@ class TestDominatedReference:
         # sample_triples draws from that list, so a change of order shows.
         text = json.dumps([c.to_json() for c in make()], sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_straggler_options_match_reference(self):
+        # Both sides of every n = 3 right system and of its mirror image:
+        # the bitset options against the membership tests of the reference.
+        checked = 0
+        for fam in union_closed_families(3):
+            candidates = triples._d_mask_candidates(3, fam)
+            for system in _right_systems(sorted(fam)):
+                for paths_of in (system, {m: frozenset(p[::-1] for p in ps) for m, ps in system.items()}):
+                    paths = [p for ps in paths_of.values() for p in ps]
+                    for star in (star_left, star_right):
+                        for a in candidates:
+                            expected = ref._compatible_paths(star, paths_of, a)
+                            assert triples._compatible_paths(star, paths, a) == expected
+                checked += 1
+        assert checked == 573
+
+    def test_dominated_sets_capacity(self):
+        s = RepleteSubsemigroup(4, False, ())
+        with pytest.raises(CapacityError, match="n <= 3"):
+            count_dominated(s)
+        with pytest.raises(CapacityError, match="n <= 3"):
+            list(enumerate_dominated(s))
 
     def test_census_shares_side_options(self):
         # Each side's options are worked out once per distinct path system

@@ -15,7 +15,7 @@ The censuses here walk every replete S that `enumerate_replete` lists and
 add up a term per S, where `mirigs.triples` counts from one histogram per
 alphabet family.  `right_systems` filters the whole product of the
 per-layer catalogues, where `mirigs.subsemigroups._right_systems`
-backtracks.  `upward_closed_families` scans all 2^(2^n) families of
+backtracks and checks each catalogue entry with one AND of path bitsets.  `upward_closed_families` scans all 2^(2^n) families of
 subsets, and `upsets_top_down` decides the subsets one by one from the top
 down, where `mirigs.triples` builds the up-sets by recursion on n.
 
@@ -24,9 +24,10 @@ growth, and `close_rights` alternates a star closure with it until neither
 adds a path, where `mirigs.subsemigroups._close_rights` meets each new path
 once with the paths before it under both rules.
 
-`_d_configs` works out each S's straggler options from scratch, where
+`_d_configs` works out each S's straggler options from scratch, testing
+every star product for membership in a set of paths, where
 `mirigs.triples` shares each side's options between the S with the same
-path system on that side.
+path system on that side and tests them as ANDs of path bitsets.
 
 All are slower than the library code, most of them exponentially, and are
 kept for tests only.
@@ -38,6 +39,7 @@ import math
 from mirigs.monoid import (
     LEAF,
     grf,
+    mask_members,
     mask_of,
     mask_size,
     node,
@@ -60,7 +62,6 @@ from mirigs.thickets import Thicket, apparity_by_alphabet
 from mirigs.triples import (
     ComplementaryTriple,
     _check_same,
-    _compatible_paths,
     _straggler_subset_sum,
     _trees_with_paths,
     zero,
@@ -315,6 +316,20 @@ def _d_mask_candidates(s):
             continue  # some product would land on a missing alphabet
         out.append(a)
     return out
+
+
+def _compatible_paths(star, paths_of, a: int) -> list:
+    """Paths on alphabet a whose star products with every path of S, in
+    either order, stay among S's paths on the joint alphabet."""
+    return [
+        rho
+        for rho in itertools.permutations(mask_members(a))
+        if all(
+            star(rho, sigma) in paths_of[a | b] and star(sigma, rho) in paths_of[a | b]
+            for b, ps in paths_of.items()
+            for sigma in ps
+        )
+    ]
 
 
 def _joint_assignments(star, paths_of, masks, options):
