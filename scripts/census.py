@@ -9,14 +9,17 @@ import itertools
 import time
 from collections import Counter
 
-from mirigs.monoid import count_free_monoid, mask_members
+from mirigs.monoid import MAX_MONOID_COUNT_N, count_free_monoid, mask_members
 from mirigs.subsemigroups import (
+    MAX_REPLETE_N,
+    MAX_UNIFORM_N,
     count_replete,
     count_replete_bounded_height,
     count_uniform,
     right_system_histograms,
 )
 from mirigs.triples import (
+    MAX_BOUNDS_N,
     VARIANTS,
     count_characteristic_variant,
     count_free_mirig,
@@ -43,18 +46,20 @@ def main():
     parser.add_argument("--max-n", type=int, default=3)
     args = parser.parse_args()
     top = args.max_n
+    # Each row stops at its own census limit.
+    replete_top = min(top, MAX_REPLETE_N)
 
     print("free idempotent monoid sizes:")
-    print("  ", [count_free_monoid(n) for n in range(top + 1)])
+    print("  ", [count_free_monoid(n) for n in range(min(top, MAX_MONOID_COUNT_N) + 1)])
 
     print("inhabited uniform subsemigroups:")
-    print("  ", [count_uniform(n) for n in range(top + 1)])
+    print("  ", [count_uniform(n) for n in range(min(top, MAX_UNIFORM_N) + 1)])
 
     print("replete subsemigroups (and height-bounded closed forms):")
     t0 = time.time()
-    totals = [count_replete(n) for n in range(min(top, 3) + 1)]
+    totals = [count_replete(n) for n in range(replete_top + 1)]
     print("  ", totals, f"({time.time()-t0:.2f}s)")
-    for n in range(min(top, 3) + 1):
+    for n in range(replete_top + 1):
         print(f"   n={n}: h<=2 {count_replete_bounded_height(n, 2)}, h<=3 {count_replete_bounded_height(n, 3)}")
 
     print("replete subsemigroups of the 3-generator monoid, by alphabet family:")
@@ -63,18 +68,18 @@ def main():
         print(f"   {{{names}}}: {count}")
 
     print("free mirig sizes (grouped | dominated-set strategies):")
-    for n in range(min(top, 3) + 1):
+    for n in range(replete_top + 1):
         t0 = time.time()
         a = count_free_mirig(n, "grouped")
         b = count_free_mirig(n, "triples")
         print(f"   n={n}: {a} | {b}  ({time.time()-t0:.2f}s)")
 
     print("upper bounds (crude, refined):")
-    print("  ", [mirig_upper_bounds(n) for n in range(min(top, 3) + 1)])
+    print("  ", [mirig_upper_bounds(n) for n in range(min(top, MAX_BOUNDS_N) + 1)])
 
     print("characteristic variants:")
     for variant in VARIANTS:
-        values = [count_characteristic_variant(n, variant) for n in range(min(top, 3) + 1)]
+        values = [count_characteristic_variant(n, variant) for n in range(replete_top + 1)]
         print(f"   {variant}: {values}")
 
 

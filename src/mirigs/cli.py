@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from . import __version__
@@ -161,7 +162,10 @@ def _monoid_from_spec(spec: str) -> MonoidTable:
     if spec == "trivial":
         return MonoidTable(["1"], [[0]], 0)
     if spec.startswith("free:"):
-        return free_idempotent_monoid_table(int(spec.split(":", 1)[1]))
+        count = re.compile(r"-?[0-9]*").match(spec, 5)
+        if count.end() < len(spec) or not count.group().strip("-"):
+            raise ParseError("expected a generator count after 'free:'", count.end())
+        return free_idempotent_monoid_table(int(count.group()))
     with open(spec, encoding="utf-8") as handle:
         data = json.load(handle)
     return MonoidTable(data["elements"], data["mul"], data["one"])

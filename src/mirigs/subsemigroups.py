@@ -149,7 +149,9 @@ def closed_path_sets(mask: int) -> tuple[frozenset, ...]:
 # Path bitsets
 #
 # The censuses number every path once, so that a set of paths is an int
-# and the star-product checks of the catalogue are ANDs of ints.
+# and a star-product check is an AND of ints.  One table holds the bits of
+# star_right products, and one check (paths_beside) reads it, both for the
+# catalogue and for the triples census's straggler options.
 
 
 @lru_cache(maxsize=None)
@@ -174,25 +176,46 @@ def bits_of(paths) -> int:
 
 
 @lru_cache(maxsize=None)
+def _star_pair_bits() -> dict[tuple, dict[tuple, int]]:
+    """For every two paths rho and sigma that path_bits numbers, the bits of
+    star_right(rho, sigma) and star_right(sigma, rho)."""
+    bit = path_bits()
+    return {
+        rho: {sigma: bit[star_right(rho, sigma)] | bit[star_right(sigma, rho)] for sigma in bit}
+        for rho in bit
+    }
+
+
+def paths_beside(candidates, paths, within: int) -> list:
+    """The candidate paths, in their order, whose star_right products with
+    each of paths, in either order, are all in within (bits).  Left paths
+    are checked through their mirror images: star_left(p, q) reversed is
+    star_right(q reversed, p reversed)."""
+    pair_bits = _star_pair_bits()
+    outside = ~within
+    out = []
+    for rho in candidates:
+        row = pair_bits[rho]
+        products = 0
+        for sigma in paths:
+            products |= row[sigma]
+        if not products & outside:
+            out.append(rho)
+    return out
+
+
+@lru_cache(maxsize=None)
 def closed_path_set_bits(mask: int) -> tuple[tuple[frozenset, int, int], ...]:
     """closed_path_sets(mask), each entry with the bits of its own paths and
     the bits of the paths p on proper sub-alphabets of mask that it admits:
-    star_right(t, p) is in the entry for every t in it."""
+    star_right(t, p) is in the entry for every t in it.  These are the paths
+    beside the entry, as star_right(p, t) is t."""
     check_n(mask.bit_length(), MAX_REPLETE_N, "path-set catalogue")
-    below = [
-        p
-        for a in range(1, mask)
-        if a & mask == a
-        for p in itertools.permutations(mask_members(a))
-    ]
-    bit = path_bits()
+    below = [p for p in path_bits() if mask_of(p) & mask == mask_of(p) != mask]
     out = []
     for target in closed_path_sets(mask):
-        admitted = 0
-        for p in below:
-            if all(star_right(t, p) in target for t in target):
-                admitted |= bit[p]
-        out.append((target, bits_of(target), admitted))
+        own = bits_of(target)
+        out.append((target, own, bits_of(paths_beside(below, target, own))))
     return tuple(out)
 
 

@@ -41,7 +41,6 @@ from .monoid import (
 from .subsemigroups import (
     MAX_REPLETE_N,
     RepleteSubsemigroup,
-    bits_of,
     close_path_system,
     close_under_product,  # not called here; perfbench wraps it as triples.close_under_product
     count_replete,
@@ -51,6 +50,7 @@ from .subsemigroups import (
     layer_of,
     path_bits,
     path_class_size,
+    paths_beside,
     right_system_histograms,
 )
 from .thickets import Thicket, apparity_by_alphabet
@@ -292,8 +292,7 @@ MAX_EVAL_N = 5
 
 def eval_expression(expr, n: int) -> ComplementaryTriple:
     """Evaluate a rig expression (text or AST) in the free mirig on n generators."""
-    if n > MAX_EVAL_N:
-        raise CapacityError(f"expression evaluation supported for n <= {MAX_EVAL_N}")
+    check_n(n, MAX_EVAL_N, "expression evaluation")
     if isinstance(expr, str):
         expr = parse_expression(expr)
     if max_generator(expr) >= n:
@@ -324,15 +323,15 @@ def eval_expression(expr, n: int) -> ComplementaryTriple:
 # Enumeration of dominated straggler sets and of whole triples
 
 
-# Bound on the memos of straggler options, per family and per side system.
-# enumerate_replete yields one family's S consecutively, the left system
-# fixed while the right one cycles through at most 36 systems (n <= 3), so
-# this many entries catch every repeat within a census.
+# Bound on the memo of straggler options, keyed on a side's path bits.
+# enumerate_replete yields one family's S consecutively, and each side of
+# each S reads the entry of one of the family's R(fam) <= 36 right systems
+# (n <= 3; a left system through its mirror image), so this many entries
+# catch every repeat within a census.
 STRAGGLER_OPTIONS_MEMO = 128
 
 
-@lru_cache(maxsize=STRAGGLER_OPTIONS_MEMO)
-def _d_mask_candidates(n: int, family: frozenset[int]) -> tuple[int, ...]:
+def _d_mask_candidates(n: int, family: frozenset[int]) -> list[int]:
     out = []
     for a in range(1, 1 << n):
         if a in family:
@@ -342,67 +341,37 @@ def _d_mask_candidates(n: int, family: frozenset[int]) -> tuple[int, ...]:
         if any(a | b not in family for b in family):
             continue  # some product would land on a missing alphabet
         out.append(a)
-    return tuple(out)
-
-
-# The star checks below are ANDs of path bitsets (see path_bits): a
-# straggler path rho may sit beside a side of S when the bits of its star
-# products with the side's paths, in both orders, lie within the side's.
-
-
-@lru_cache(maxsize=2)
-def _star_pair_bits(star) -> dict[tuple, dict[tuple, int]]:
-    """For every two paths rho and sigma that path_bits numbers, the bits of
-    star(rho, sigma) and star(sigma, rho)."""
-    bit = path_bits()
-    return {
-        rho: {sigma: bit[star(rho, sigma)] | bit[star(sigma, rho)] for sigma in bit}
-        for rho in bit
-    }
-
-
-def _compatible_paths(star, paths, a: int) -> list:
-    """Paths on alphabet a whose star products with every path of one side
-    of S (paths), in either order, stay among that side's paths."""
-    pair_bits = _star_pair_bits(star)
-    outside = ~bits_of(paths)
-    out = []
-    for rho in itertools.permutations(mask_members(a)):
-        row = pair_bits[rho]
-        products = 0
-        for sigma in paths:
-            products |= row[sigma]
-        if not products & outside:
-            out.append(rho)
     return out
 
 
-def _joint_assignments(star, paths, options) -> tuple[tuple, ...]:
+def _joint_assignments(bits: int, options) -> tuple[tuple, ...]:
     """Path tuples, one option per straggler alphabet and in its order,
-    whose pairwise star products stay among the side's paths."""
-    pair_bits = _star_pair_bits(star)
-    outside = ~bits_of(paths)
-    pairs = list(itertools.combinations(range(len(options)), 2))
-    return tuple(
-        combo
-        for combo in itertools.product(*options)
-        if not any(pair_bits[combo[i]][combo[j]] & outside for i, j in pairs)
-    )
+    whose pairwise star products stay among the side's paths (bits), in the
+    order of itertools.product: each path is one of its options beside the
+    paths chosen before it."""
+    out = [()]
+    for opts in options:
+        out = [c + (rho,) for c in out for rho in paths_beside(opts, c, bits)]
+    return tuple(out)
 
 
 @lru_cache(maxsize=STRAGGLER_OPTIONS_MEMO)
-def _side_configs(star, n: int, layers: tuple) -> dict:
-    """For one side of S, given as its (mask, paths) layers, map each
-    straggler alphabet configuration masks to its joint path assignments,
-    when there are any, in the order of itertools.combinations over the
-    candidate alphabets, smaller configurations first.  Shared by every S
-    with the same path system on this side; callers must not mutate it."""
-    check_n(n, MAX_REPLETE_N, "straggler options")
-    family = frozenset(mask for mask, _ in layers)
-    paths = [p for _, ps in layers for p in ps]
-    options = {a: _compatible_paths(star, paths, a) for a in _d_mask_candidates(n, family)}
+def _side_configs(n: int, bits: int) -> tuple[dict, dict]:
+    """For the right path system with these path bits, map each straggler
+    alphabet configuration masks to its joint path assignments, when there
+    are any, in the order of itertools.combinations over the candidate
+    alphabets, smaller configurations first.  Returns (left, right): left
+    maps the same configurations for the mirror-image left system, each
+    assignment reversed, re-sorted into the order of itertools.product.
+    Shared by every S with this system on either side; do not mutate."""
+    paths = [p for p, b in path_bits().items() if bits & b]
+    family = frozenset(mask_of(p) for p in paths)
+    options = {
+        a: paths_beside(itertools.permutations(mask_members(a)), paths, bits)
+        for a in _d_mask_candidates(n, family)
+    }
     candidates = [a for a, opts in options.items() if opts]
-    out = {}
+    lefts, rights = {}, {}
     for r in range(1, len(candidates) + 1):
         for masks in itertools.combinations(candidates, r):
             if any(
@@ -410,10 +379,11 @@ def _side_configs(star, n: int, layers: tuple) -> dict:
                 for a, b in itertools.combinations(masks, 2)
             ):
                 continue
-            assigns = _joint_assignments(star, paths, [options[a] for a in masks])
+            assigns = _joint_assignments(bits, [options[a] for a in masks])
             if assigns:
-                out[masks] = assigns
-    return out
+                rights[masks] = assigns
+                lefts[masks] = tuple(sorted(tuple(p[::-1] for p in combo) for combo in assigns))
+    return lefts, rights
 
 
 def _side_pairs(s: RepleteSubsemigroup):
@@ -424,22 +394,21 @@ def _side_pairs(s: RepleteSubsemigroup):
     restricted to these, is the order of their combinations."""
     if s.unit:
         return
-    lefts = _side_configs(star_left, s.n, tuple((mask, lp) for mask, lp, _ in s.layers))
-    rights = _side_configs(star_right, s.n, tuple((mask, rp) for mask, _, rp in s.layers))
+    check_n(s.n, MAX_REPLETE_N, "straggler options")
+    # The left system reads the entry of the right system it mirrors.
+    bit = path_bits()
+    left = right = 0
+    for _, lp, rp in s.layers:
+        for p in lp:
+            left |= bit[p[::-1]]
+        for p in rp:
+            right |= bit[p]
+    lefts = _side_configs(s.n, left)[0]
+    rights = _side_configs(s.n, right)[1]
     for masks, las in lefts.items():
         ras = rights.get(masks)
         if ras:
             yield masks, las, ras
-
-
-def _d_configs(s: RepleteSubsemigroup):
-    """Yield (masks, leftmost paths, rightmost paths) for every nonempty
-    straggler alphabet configuration dominated by s, one path of each side
-    per alphabet in masks, in its order."""
-    for masks, las, ras in _side_pairs(s):
-        for la in las:
-            for ra in ras:
-                yield masks, la, ra
 
 
 def count_dominated(s: RepleteSubsemigroup) -> int:
@@ -468,10 +437,11 @@ def enumerate_dominated(s: RepleteSubsemigroup) -> Iterator[FrozenSet[Tree]]:
     if s.unit:
         return
     yield frozenset({LEAF})
-    for _, la, ra in _d_configs(s):
-        per_mask = [_trees_with_paths(lam, rho) for lam, rho in zip(la, ra)]
-        for choice in itertools.product(*per_mask):
-            yield frozenset(choice)
+    for _, las, ras in _side_pairs(s):
+        for la, ra in itertools.product(las, ras):
+            per_mask = [_trees_with_paths(lam, rho) for lam, rho in zip(la, ra)]
+            for choice in itertools.product(*per_mask):
+                yield frozenset(choice)
 
 
 def enumerate_triples(n: int) -> Iterator[ComplementaryTriple]:

@@ -23,6 +23,7 @@ from mirigs.subsemigroups import RepleteSubsemigroup
 from mirigs.triples import MAX_EVAL_N
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+CENSUS_SCRIPT = SRC.parent / "scripts" / "census.py"
 CHILD_ADDRESS_SPACE = 1 << 30
 
 
@@ -36,12 +37,12 @@ def _limit_child_memory():
     resource.setrlimit(resource.RLIMIT_AS, (CHILD_ADDRESS_SPACE, CHILD_ADDRESS_SPACE))
 
 
-def run_child(*argv):
-    """Run the CLI in a fresh interpreter with a 1 GiB address-space limit
-    and a 60 s timeout, so that a regression fails instead of exhausting
-    the machine."""
+def run_child(*argv, command=("-m", "mirigs")):
+    """Run the CLI (or another command) in a fresh interpreter with a 1 GiB
+    address-space limit and a 60 s timeout, so that a regression fails
+    instead of exhausting the machine."""
     return subprocess.run(
-        [sys.executable, "-m", "mirigs", *argv],
+        [sys.executable, *command, *argv],
         capture_output=True,
         text=True,
         timeout=60,
@@ -175,6 +176,8 @@ class TestFailFast:
             ("enumerate", "replete"),
             ("enumerate", "replete", "--json"),
             ("bounds",),
+            ("eval", "a"),
+            ("eq", "a", "a"),
         ],
         ids=" ".join,
     )
@@ -182,6 +185,12 @@ class TestFailFast:
         proc = run_child(*argv, "--n", "-1")
         assert proc.returncode == 1 and not proc.stdout
         assert "n must be nonnegative" in proc.stderr and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("spec,offset", [("free:x", 5), ("free:", 5)])
+    def test_campion_bad_free_monoid_exits_2(self, spec, offset):
+        proc = run_child("campion", "--monoid", spec)
+        assert proc.returncode == 2 and not proc.stdout
+        assert f"at byte {offset}" in proc.stderr and "Traceback" not in proc.stderr
 
     def test_campion_negative_free_monoid_exits_1(self):
         proc = run_child("campion", "--monoid", "free:-1")
@@ -360,3 +369,15 @@ class TestUsage:
         with pytest.raises(SystemExit) as info:
             main(["count", "nonsense", "--n", "1"])
         assert info.value.code == 2
+
+
+class TestCensusScript:
+    @pytest.mark.parametrize(
+        "max_n,row", [("2", "n=2: 284 | 284"), ("5", "n=3: 515861 | 515861")]
+    )
+    def test_runs_past_every_census_limit(self, max_n, row):
+        # Each row stops at its own limit: --max-n 5 is past the uniform,
+        # replete and bounds censuses.
+        proc = run_child("--max-n", max_n, command=(str(CENSUS_SCRIPT),))
+        assert proc.returncode == 0 and "Traceback" not in proc.stderr
+        assert row in proc.stdout

@@ -8,12 +8,22 @@ from hypothesis import given, settings, strategies as st
 
 import tree_reference as ref
 from mirigs.errors import CapacityError, ParseError
-from mirigs.monoid import LEAF, MAX_TREE_NESTING, all_trees, gen_tree, star_left, star_right
+from mirigs.monoid import (
+    LEAF,
+    MAX_TREE_NESTING,
+    all_trees,
+    gen_tree,
+    mask_members,
+    star_left,
+    star_right,
+)
 from mirigs import triples
 from mirigs.subsemigroups import (
     RepleteSubsemigroup,
     _right_systems,
+    bits_of,
     enumerate_replete,
+    paths_beside,
     replete_closure_trees,
     right_system_histograms,
     union_closed_families,
@@ -403,36 +413,42 @@ class TestDominatedReference:
 
     def test_straggler_options_match_reference(self):
         # Both sides of every n = 3 right system and of its mirror image:
-        # the bitset options against the membership tests of the reference.
+        # the bitset options against the membership tests of the reference,
+        # the left side's read through the mirror image of its paths.
         checked = 0
         for fam in union_closed_families(3):
             candidates = triples._d_mask_candidates(3, fam)
             for system in _right_systems(sorted(fam)):
-                for paths_of in (system, {m: frozenset(p[::-1] for p in ps) for m, ps in system.items()}):
+                mirrored = {m: frozenset(p[::-1] for p in ps) for m, ps in system.items()}
+                for paths_of, mirror_of in ((system, mirrored), (mirrored, system)):
                     paths = [p for ps in paths_of.values() for p in ps]
-                    for star in (star_left, star_right):
-                        for a in candidates:
-                            expected = ref._compatible_paths(star, paths_of, a)
-                            assert triples._compatible_paths(star, paths, a) == expected
+                    mirror = [p for ps in mirror_of.values() for p in ps]
+                    for a in candidates:
+                        rhos = list(itertools.permutations(mask_members(a)))
+                        right = paths_beside(rhos, paths, bits_of(paths))
+                        left = sorted(p[::-1] for p in paths_beside(rhos, mirror, bits_of(mirror)))
+                        assert right == ref._compatible_paths(star_right, paths_of, a)
+                        assert left == ref._compatible_paths(star_left, paths_of, a)
                 checked += 1
         assert checked == 573
 
     def test_dominated_sets_capacity(self):
-        s = RepleteSubsemigroup(4, False, ())
-        with pytest.raises(CapacityError, match="n <= 3"):
-            count_dominated(s)
-        with pytest.raises(CapacityError, match="n <= 3"):
-            list(enumerate_dominated(s))
+        wide = ((0b1111, ((0, 1, 2, 3),), ((0, 1, 2, 3),)),)
+        for s in (RepleteSubsemigroup(4, False, ()), RepleteSubsemigroup(4, False, wide)):
+            with pytest.raises(CapacityError, match="n <= 3"):
+                count_dominated(s)
+            with pytest.raises(CapacityError, match="n <= 3"):
+                list(enumerate_dominated(s))
 
     def test_census_shares_side_options(self):
-        # Each side's options are worked out once per distinct path system
-        # of a family (R(fam) right systems and their mirror images), not
-        # once per S.
+        # Each side's options are worked out once per right system of a
+        # family, not once per S: a left system reads the entry of the right
+        # system it mirrors.
         triples._side_configs.cache_clear()
         assert count_free_mirig(3, "triples") == 515861
         systems = sum(sum(hist.values()) for _, hist in right_system_histograms(3))
         assert systems == 573
-        assert triples._side_configs.cache_info().misses == 2 * systems
+        assert triples._side_configs.cache_info().misses == systems
 
 
 class TestCounting:
