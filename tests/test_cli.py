@@ -82,6 +82,10 @@ class TestWordCommands:
         code, _, err = run(capsys, "word-eq", "--n", "2", "abc", "ab")
         assert code == 1 and "out of range" in err
 
+    def test_bad_letter_exits_2(self, capsys):
+        code, out, err = run(capsys, "word-eq", "abc", "a\u00e9")
+        assert code == 2 and not out and "at byte 1" in err
+
 
 class TestExpressionCommands:
     def test_eval_text(self, capsys):

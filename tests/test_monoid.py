@@ -53,6 +53,46 @@ class TestWords:
         with pytest.raises(ValueError):
             parse_word("abc", n=2)
 
+    @staticmethod
+    def parse_outcome(parse, text, n):
+        """The word, or the type and offset of the exception raised."""
+        try:
+            return parse(text, n)
+        except ValueError as exc:
+            return type(exc), getattr(exc, "offset", None)
+
+    @given(
+        st.text(
+            st.one_of(st.sampled_from("abcdxyz"), st.sampled_from("`{AZ09 \u00e9\uff41")),
+            max_size=12,
+        ),
+        st.sampled_from([None, 1, 2, 3]),
+    )
+    def test_parse_matches_reference(self, text, n):
+        assert self.parse_outcome(parse_word, text, n) == self.parse_outcome(
+            ref.parse_word, text, n
+        )
+
+    @pytest.mark.parametrize(
+        "text,n,expected",
+        [
+            ("", None, ()),
+            ("", 1, ()),
+            ("1", None, ()),
+            ("1", 1, ()),
+            ("11", None, (ParseError, 0)),
+            ("abcD", None, (ParseError, 3)),
+            ("ab1", None, (ParseError, 2)),
+            ("ab\u00e9", None, (ParseError, 2)),
+            ("ab\uff41", 3, (ParseError, 2)),
+            ("abc{", 2, (ValueError, None)),
+            ("abz", None, (0, 1, 25)),
+        ],
+    )
+    def test_parse_edge_cases(self, text, n, expected):
+        assert self.parse_outcome(parse_word, text, n) == expected
+        assert self.parse_outcome(ref.parse_word, text, n) == expected
+
 
 class TestGrf:
     def test_bcac(self):
@@ -74,6 +114,18 @@ class TestGrf:
     def test_empty_word_rejected(self):
         with pytest.raises(ValueError):
             grf(())
+
+    @given(st.integers(1, 6).flatmap(lambda n: words(n, max_size=40)))
+    def test_matches_reference(self, word):
+        if word:
+            assert grf(word) == ref.grf(word)
+
+    def test_matches_reference_on_long_words(self):
+        rng = random.Random(12)
+        for k in range(1, 13):
+            for _ in range(8):
+                word = tuple(rng.randrange(k) for _ in range(rng.randint(1, 300)))
+                assert grf(word) == ref.grf(word)
 
     @given(words(3))
     def test_soundness(self, word):

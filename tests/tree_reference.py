@@ -1,9 +1,15 @@
 """Reference routes that the library's faster code is tested against.
 
-`tree_of_word` recurses on the prefix and suffix of every Green-Rees
-decomposition without remembering a subword it has seen, so it makes about
-2^|alphabet| calls; `mirigs.monoid.tree_of_word` decomposes each distinct
-subword once.
+`parse_word` reads a word one character at a time, where
+`mirigs.monoid.parse_word` translates a word of in-range letters a..z in
+one pass.
+
+`grf` finds the Green-Rees decomposition letter by letter, tracking the
+generators seen so far in a bitmask, where `mirigs.monoid.grf` finds it
+with `dict.fromkeys` and `tuple.index` scans.  `tree_of_word` recurses with
+this `grf` on the prefix and suffix of every decomposition without
+remembering a subword it has seen, so it makes about 2^|alphabet| calls;
+`mirigs.monoid.tree_of_word` decomposes each distinct subword once.
 
 The triple arithmetic and normalization here is tree-level: it expands S
 into explicit trees, closes tree sets with
@@ -36,9 +42,9 @@ kept for tests only.
 import itertools
 import math
 
+from mirigs.errors import ParseError
 from mirigs.monoid import (
     LEAF,
-    grf,
     mask_members,
     mask_of,
     mask_size,
@@ -46,6 +52,7 @@ from mirigs.monoid import (
     star_left,
     star_right,
     tree_product,
+    word_alphabet,
 )
 from mirigs.subsemigroups import (
     RepleteSubsemigroup,
@@ -68,11 +75,49 @@ from mirigs.triples import (
 )
 
 
+def parse_word(text, n=None):
+    if text == "1":
+        return ()
+    out = []
+    for off, ch in enumerate(text):
+        idx = ord(ch) - ord("a")
+        if not 0 <= idx < 26:
+            raise ParseError(f"invalid word character {ch!r}", off)
+        if n is not None and idx >= n:
+            raise ValueError(f"generator {ch!r} out of range for n={n}")
+        out.append(idx)
+    return tuple(out)
+
+
+def grf(w):
+    """(p, a, b, q) with w ~ p a b q, p the maximal prefix missing exactly a
+    and q the maximal suffix missing exactly b."""
+    if not w:
+        raise ValueError("the empty word has no Green-Rees decomposition")
+    # p ends just before the first occurrence of the last generator to appear.
+    seen = 0
+    total = word_alphabet(w)
+    for i, x in enumerate(w):
+        if seen | (1 << x) == total and not seen & (1 << x):
+            p, a = w[:i], x
+            break
+        seen |= 1 << x
+    # q starts just after the last occurrence of the first generator to vanish.
+    seen = 0
+    for j in range(len(w) - 1, -1, -1):
+        x = w[j]
+        if seen | (1 << x) == total and not seen & (1 << x):
+            q, b = w[j + 1:], x
+            break
+        seen |= 1 << x
+    return p, a, b, q
+
+
 def tree_of_word(w):
     if not w:
         return LEAF
-    d = grf(w)
-    return node(tree_of_word(d.p), d.a, d.b, tree_of_word(d.q))
+    p, a, b, q = grf(w)
+    return node(tree_of_word(p), a, b, tree_of_word(q))
 
 
 def close_right(paths) -> frozenset:
