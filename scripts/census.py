@@ -69,10 +69,12 @@ def main():
 
     print("free mirig sizes (grouped | dominated-set strategies):")
     for n in range(replete_top + 1):
-        t0 = time.time()
-        a = count_free_mirig(n, "grouped")
-        b = count_free_mirig(n, "triples")
-        print(f"   n={n}: {a} | {b}  ({time.time()-t0:.2f}s)")
+        values, times = [], []
+        for strategy in ("grouped", "triples"):
+            t0 = time.perf_counter()
+            values.append(count_free_mirig(n, strategy))
+            times.append(time.perf_counter() - t0)
+        print(f"   n={n}: {values[0]} | {values[1]}  ({times[0]:.3f}s | {times[1]:.3f}s)")
 
     print("upper bounds (crude, refined):")
     print("  ", [mirig_upper_bounds(n) for n in range(min(top, MAX_BOUNDS_N) + 1)])

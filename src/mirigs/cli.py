@@ -127,8 +127,6 @@ def cmd_count(args) -> int:
     elif kind == "uniform":
         value = count_uniform(args.n)
     elif kind == "variant":
-        if args.variant is None:
-            raise ValueError("count variant requires --variant")
         value = count_characteristic_variant(args.n, args.variant)
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown census {kind!r}")
@@ -168,6 +166,11 @@ def _monoid_from_spec(spec: str) -> MonoidTable:
         return free_idempotent_monoid_table(int(count.group()))
     with open(spec, encoding="utf-8") as handle:
         data = json.load(handle)
+    if not isinstance(data, dict):
+        raise ValueError("monoid table: expected a JSON object with elements, mul and one")
+    missing = [key for key in ("elements", "mul", "one") if key not in data]
+    if missing:
+        raise ValueError(f"monoid table: missing {', '.join(missing)}")
     return MonoidTable(data["elements"], data["mul"], data["one"])
 
 
@@ -282,6 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "count" and args.kind == "variant" and args.variant is None:
+        parser.error("count variant requires --variant")
     try:
         return args.func(args)
     except ParseError as exc:

@@ -491,7 +491,8 @@ def replete_closure(trees, n: int) -> RepleteSubsemigroup:
 
 
 def union_closed_families(n: int) -> list[frozenset[int]]:
-    """All union-closed families of nonempty alphabets over [n]."""
+    """All union-closed families of nonempty alphabets over [n], smaller
+    families first, each size in lexicographic order of the sorted masks."""
     masks = [m for m in range(1, 1 << n)]
     out = []
     for r in range(len(masks) + 1):
@@ -502,9 +503,10 @@ def union_closed_families(n: int) -> list[frozenset[int]]:
     return out
 
 
-def _right_systems(family: list[int]) -> Iterator[dict]:
+def _right_systems(family: list[int]) -> Iterator[tuple[dict, int]]:
     """All assignments mask -> closed right path set over a union-closed family,
-    given in ascending order, that are closed under cross-layer products.
+    given in ascending order, that are closed under cross-layer products,
+    each with the bits of all its paths (path_bits).
 
     Backtracks over the layers in ascending mask order, so the systems come
     out in the order of itertools.product over the per-layer catalogues.
@@ -520,9 +522,9 @@ def _right_systems(family: list[int]) -> Iterator[dict]:
     chosen: dict[int, frozenset] = {}
     chosen_bits: dict[int, int] = {}
 
-    def extend(i: int) -> Iterator[dict]:
+    def extend(i: int, bits: int) -> Iterator[tuple[dict, int]]:
         if i == len(family):
-            yield dict(chosen)
+            yield dict(chosen), bits
             return
         c = family[i]
         lower = 0
@@ -532,23 +534,29 @@ def _right_systems(family: list[int]) -> Iterator[dict]:
             if not lower & ~admitted:
                 chosen[c] = target
                 chosen_bits[c] = own
-                yield from extend(i + 1)
+                yield from extend(i + 1, bits | own)
         chosen.pop(c, None)
 
-    return extend(0)
+    return extend(0, 0)
+
+
+def right_systems_by_family(n: int) -> Iterator[tuple[list[int], list[tuple[dict, int]]]]:
+    """Per union-closed family of nonempty alphabets over [n], as its sorted
+    masks, the family's right systems with their path bits (_right_systems).
+    The one walk over the families behind enumerate_replete (in its order),
+    right_system_histograms and the triples census."""
+    for fam in union_closed_families(n):
+        family = sorted(fam)
+        yield family, list(_right_systems(family))
 
 
 def enumerate_replete(n: int) -> Iterator[RepleteSubsemigroup]:
     """Every replete subsemigroup of T_n exactly once, compactly represented."""
     check_n(n, MAX_REPLETE_N, "replete enumeration")
-    for fam in sorted(union_closed_families(n), key=lambda f: (len(f), sorted(f))):
-        family = sorted(fam)
+    for family, systems in right_systems_by_family(n):
         # Each system's paths, sorted once, per mask in ascending order: the
         # layers of every S on the family zip one left and one right system.
-        rights = [
-            [tuple(sorted(system[mask])) for mask in family]
-            for system in _right_systems(family)
-        ]
+        rights = [[tuple(sorted(system[mask])) for mask in family] for system, _ in systems]
         lefts = [[tuple(sorted(p[::-1] for p in ps)) for ps in system] for system in rights]
         for ls in lefts:
             for rs in rights:
@@ -565,12 +573,10 @@ def right_system_histograms(n: int) -> Iterator[tuple[frozenset[int], Counter]]:
     with the same X, so H serves both sides of every replete S on the
     family: there are 2 * R**2 of them, one per (left, right, unit)."""
     check_n(n, MAX_REPLETE_N, "replete census")
-    for fam in union_closed_families(n):
-        family = sorted(fam)
+    for family, systems in right_systems_by_family(n):
         minimal = [a for a in family if not any(b != a and b & a == b for b in family)]
-        yield fam, Counter(
-            frozenset(a for a in minimal if len(system[a]) == 1)
-            for system in _right_systems(family)
+        yield frozenset(family), Counter(
+            frozenset(a for a in minimal if len(system[a]) == 1) for system, _ in systems
         )
 
 

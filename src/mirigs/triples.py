@@ -14,7 +14,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import FrozenSet, Iterator
+from typing import FrozenSet, Iterator, NamedTuple
 
 from .errors import CapacityError
 from .expressions import Add, Const, Gen, Node, max_generator, parse_expression
@@ -52,6 +52,7 @@ from .subsemigroups import (
     path_class_size,
     paths_beside,
     right_system_histograms,
+    right_systems_by_family,
 )
 from .thickets import Thicket, apparity_by_alphabet
 from .quotients import N22
@@ -323,15 +324,20 @@ def eval_expression(expr, n: int) -> ComplementaryTriple:
 # Enumeration of dominated straggler sets and of whole triples
 
 
-# Bound on the memo of straggler options, keyed on a side's path bits.
-# enumerate_replete yields one family's S consecutively, and each side of
-# each S reads the entry of one of the family's R(fam) <= 36 right systems
-# (n <= 3; a left system through its mirror image), so this many entries
-# catch every repeat within a census.
+# Bound on the memo of straggler options, keyed on a side's path bits.  The
+# triples census reads each entry once per right system of a family, so it
+# does not lean on the memo.  count_dominated and enumerate_dominated, called
+# S by S in enumerate_replete's order, meet one family's S consecutively, and
+# each side of each S reads the entry of one of the family's R(fam) <= 36
+# right systems (n <= 3; a left system through its mirror image), so this
+# many entries catch their repeats.
 STRAGGLER_OPTIONS_MEMO = 128
 
 
-def _d_mask_candidates(n: int, family: frozenset[int]) -> list[int]:
+# One entry per union-closed family on at most MAX_REPLETE_N letters: the
+# straggler options of every right system on a family share its candidates.
+@lru_cache(maxsize=None)
+def _d_mask_candidates(n: int, family: frozenset[int]) -> tuple[int, ...]:
     out = []
     for a in range(1, 1 << n):
         if a in family:
@@ -341,7 +347,7 @@ def _d_mask_candidates(n: int, family: frozenset[int]) -> list[int]:
         if any(a | b not in family for b in family):
             continue  # some product would land on a missing alphabet
         out.append(a)
-    return out
+    return tuple(out)
 
 
 def _joint_assignments(bits: int, options) -> tuple[tuple, ...]:
@@ -355,15 +361,26 @@ def _joint_assignments(bits: int, options) -> tuple[tuple, ...]:
     return tuple(out)
 
 
+class SideOptions(NamedTuple):
+    """The straggler options of one right path system, keyed on straggler
+    alphabet configurations (tuples of masks)."""
+
+    lefts: dict  # masks -> joint path assignments of the mirror-image left system
+    rights: dict  # masks -> joint path assignments of the right system
+    weights: dict  # masks -> straggler choices per pair of left and right assignments
+
+
 @lru_cache(maxsize=STRAGGLER_OPTIONS_MEMO)
-def _side_configs(n: int, bits: int) -> tuple[dict, dict]:
+def _side_configs(n: int, bits: int) -> SideOptions:
     """For the right path system with these path bits, map each straggler
     alphabet configuration masks to its joint path assignments, when there
     are any, in the order of itertools.combinations over the candidate
-    alphabets, smaller configurations first.  Returns (left, right): left
-    maps the same configurations for the mirror-image left system, each
-    assignment reversed, re-sorted into the order of itertools.product.
-    Shared by every S with this system on either side; do not mutate."""
+    alphabets, smaller configurations first.  lefts maps the same
+    configurations for the mirror-image left system, each assignment
+    reversed, re-sorted into the order of itertools.product.  A straggler
+    on alphabet a with given extremal paths is one of path_class_size(|a|)
+    left branches times as many right ones, hence the weights.  Shared by
+    every S with this system on either side; do not mutate."""
     paths = [p for p, b in path_bits().items() if bits & b]
     family = frozenset(mask_of(p) for p in paths)
     options = {
@@ -371,7 +388,7 @@ def _side_configs(n: int, bits: int) -> tuple[dict, dict]:
         for a in _d_mask_candidates(n, family)
     }
     candidates = [a for a, opts in options.items() if opts]
-    lefts, rights = {}, {}
+    lefts, rights, weights = {}, {}, {}
     for r in range(1, len(candidates) + 1):
         for masks in itertools.combinations(candidates, r):
             if any(
@@ -383,19 +400,14 @@ def _side_configs(n: int, bits: int) -> tuple[dict, dict]:
             if assigns:
                 rights[masks] = assigns
                 lefts[masks] = tuple(sorted(tuple(p[::-1] for p in combo) for combo in assigns))
-    return lefts, rights
+                weights[masks] = math.prod(path_class_size(mask_size(a)) ** 2 for a in masks)
+    return SideOptions(lefts, rights, weights)
 
 
-def _side_pairs(s: RepleteSubsemigroup):
-    """Yield (masks, left-path assignments, right-path assignments) for every
-    nonempty straggler alphabet configuration that both sides of s admit.
-    A configuration admitted by both sides is a combination of the
-    alphabets that are candidates on both, so the left side's order,
-    restricted to these, is the order of their combinations."""
-    if s.unit:
-        return
+def _side_options(s: RepleteSubsemigroup) -> tuple[SideOptions, SideOptions]:
+    """The straggler options of both sides of s: the left system reads the
+    entry of the right system it mirrors."""
     check_n(s.n, MAX_REPLETE_N, "straggler options")
-    # The left system reads the entry of the right system it mirrors.
     bit = path_bits()
     left = right = 0
     for _, lp, rp in s.layers:
@@ -403,25 +415,48 @@ def _side_pairs(s: RepleteSubsemigroup):
             left |= bit[p[::-1]]
         for p in rp:
             right |= bit[p]
-    lefts = _side_configs(s.n, left)[0]
-    rights = _side_configs(s.n, right)[1]
-    for masks, las in lefts.items():
+    return _side_configs(s.n, left), _side_configs(s.n, right)
+
+
+def _shared_configs(left: SideOptions, right: SideOptions):
+    """Yield (masks, left-path assignments, right-path assignments) for every
+    nonempty straggler alphabet configuration that both sides admit, the
+    left side read from left and the right side from right.  A
+    configuration admitted by both sides is a combination of the alphabets
+    that are candidates on both, so the left side's order, restricted to
+    these, is the order of their combinations."""
+    rights = right.rights
+    for masks, las in left.lefts.items():
         ras = rights.get(masks)
         if ras:
             yield masks, las, ras
 
 
+def _dominated_count(left: SideOptions, right: SideOptions, unit: bool) -> int:
+    """Number of sparse sets dominated by the S whose left system mirrors
+    the right system of left, whose right system is that of right, and
+    which holds the trivial tree when unit.  The trivial tree blocks every
+    straggler, so such an S dominates only the empty set; any other also
+    dominates the trivial tree alone and the straggler sets of each
+    configuration both sides admit (those of _shared_configs)."""
+    if unit:
+        return 1
+    # The loop of _shared_configs, inlined: the census makes 18 030 of these
+    # calls at n = 3, and summing over the generator costs a fifth of its time.
+    rights, weights = right.rights, right.weights
+    total = 2
+    for masks, las in left.lefts.items():
+        ras = rights.get(masks)
+        if ras:
+            total += len(las) * len(ras) * weights[masks]
+    return total
+
+
 def count_dominated(s: RepleteSubsemigroup) -> int:
     """Number of sparse sets dominated by s."""
-    total = 1  # the empty set
     if s.unit:
-        return total
-    total += 1  # the trivial tree alone
-    for masks, las, ras in _side_pairs(s):
-        total += len(las) * len(ras) * math.prod(
-            path_class_size(mask_size(a)) ** 2 for a in masks
-        )
-    return total
+        return 1
+    return _dominated_count(*_side_options(s), unit=False)
 
 
 def _trees_with_paths(lam, rho):
@@ -437,7 +472,7 @@ def enumerate_dominated(s: RepleteSubsemigroup) -> Iterator[FrozenSet[Tree]]:
     if s.unit:
         return
     yield frozenset({LEAF})
-    for _, las, ras in _side_pairs(s):
+    for _, las, ras in _shared_configs(*_side_options(s)):
         for la, ra in itertools.product(las, ras):
             per_mask = [_trees_with_paths(lam, rho) for lam, rho in zip(la, ra)]
             for choice in itertools.product(*per_mask):
@@ -518,17 +553,28 @@ def _histogram_sum(n: int, term) -> int:
 def count_free_mirig(n: int, strategy: str = "grouped") -> int:
     """Exact size of the free mirig on n generators.
 
-    "triples" sums dominated-set counts over all replete subsemigroups;
+    "triples" sums dominated-set counts over all replete subsemigroups,
+    each counted from its (left system, right system, unit) without being
+    built;
     "grouped" groups triples by the replete subsemigroup their carrier
     generates, which only needs per-layer path multiplicities, and so is
     counted from the per-family histograms without listing any S.
     """
     check_n(n, MAX_REPLETE_N, "free mirig census")
     if strategy == "triples":
-        return sum(
-            count_dominated(s) * 2 ** (len(s.layers) + s.unit)
-            for s in enumerate_replete(n)
-        )
+        # S by S without building them: the S on a family are its (left
+        # system, right system, unit) triples, and each right system's
+        # straggler options are read once, a left system's from the right
+        # system it mirrors.
+        total = 0
+        for family, systems in right_systems_by_family(n):
+            options = [_side_configs(n, bits) for _, bits in systems]
+            parities = 2 ** len(family)
+            for left in options:
+                for right in options:
+                    for unit in (False, True):
+                        total += _dominated_count(left, right, unit) * (parities << unit)
+        return total
     if strategy != "grouped":
         raise ValueError("strategy must be 'triples' or 'grouped'")
     return _histogram_sum(

@@ -19,6 +19,7 @@ from mirigs.monoid import (
     render_tree,
     tree_of_word,
 )
+from mirigs.quotients import MAX_CAMPION_MONOID_SIZE
 from mirigs.subsemigroups import RepleteSubsemigroup
 from mirigs.triples import MAX_EVAL_N
 
@@ -136,8 +137,9 @@ class TestCounts:
         assert code == 0 and out.strip() == expected
 
     def test_variant_required(self, capsys):
-        code, _, err = run(capsys, "count", "variant", "--n", "2")
-        assert code == 1 and "--variant" in err
+        with pytest.raises(SystemExit) as info:
+            main(["count", "variant", "--n", "3"])
+        assert info.value.code == 2 and "--variant" in capsys.readouterr().err
 
     def test_capacity_error_names_bound(self, capsys):
         code, _, err = run(capsys, "count", "mirig", "--n", "9")
@@ -195,6 +197,43 @@ class TestFailFast:
         proc = run_child("campion", "--monoid", spec)
         assert proc.returncode == 2 and not proc.stdout
         assert f"at byte {offset}" in proc.stderr and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "table,fault",
+        [
+            ({"elements": ["1", "x"], "mul": [[0, 1], [1, 1]], "one": -2}, "one must be an int in 0..1"),
+            ({"elements": ["1", "x"], "mul": [[0, 1], [1, 1]], "one": True}, "one must be an int in 0..1"),
+            ({"elements": ["1", "x"], "one": 0}, "missing mul"),
+            ([["1", "x"], [[0, 1], [1, 1]], 0], "expected a JSON object"),
+            ({"elements": ["1", "x"], "mul": [[0, 1], [1]], "one": 0}, "mul row 1 must be a list of 2 entries"),
+            ({"elements": ["1", "x"], "mul": [[0, 1]], "one": 0}, "mul must be a list of 2 rows"),
+            ({"elements": ["1", "x"], "mul": [[0, 1], [1, 2]], "one": 0}, "mul row 1 has an entry"),
+            ({"elements": ["1", "x"], "mul": [[0, 1], [1, -1]], "one": 0}, "mul row 1 has an entry"),
+            ({"elements": ["1", 2], "mul": [[0, 1], [1, 1]], "one": 0}, "elements must be a list of strings"),
+        ],
+        ids=[
+            "negative-one", "bool-one", "missing-mul", "top-level-list", "ragged-mul",
+            "short-mul", "entry-past-end", "negative-entry", "non-string-element",
+        ],
+    )
+    def test_campion_malformed_table_exits_1(self, tmp_path, table, fault):
+        path = tmp_path / "monoid.json"
+        path.write_text(json.dumps(table))
+        proc = run_child("campion", "--monoid", str(path))
+        assert proc.returncode == 1 and not proc.stdout
+        assert f"error: monoid table: {fault}" in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_campion_past_table_capacity_exits_1(self, tmp_path):
+        # A semilattice with a unit: a well-formed idempotent monoid, one
+        # element past the cap, refused before the cubic checks start.
+        size = MAX_CAMPION_MONOID_SIZE + 1
+        mul = [[max(i, j) for j in range(size)] for i in range(size)]
+        path = tmp_path / "monoid.json"
+        path.write_text(json.dumps({"elements": [str(i) for i in range(size)], "mul": mul, "one": 0}))
+        proc = run_child("campion", "--monoid", str(path))
+        assert proc.returncode == 1 and not proc.stdout
+        assert f"at most {MAX_CAMPION_MONOID_SIZE} elements" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_campion_negative_free_monoid_exits_1(self):
         proc = run_child("campion", "--monoid", "free:-1")

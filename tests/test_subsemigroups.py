@@ -429,7 +429,10 @@ class TestEnumeration:
         for n in range(4):
             for fam in union_closed_families(n):
                 family = sorted(fam)
-                assert list(_right_systems(family)) == list(ref.right_systems(family)), family
+                systems = list(_right_systems(family))
+                assert [system for system, _ in systems] == list(ref.right_systems(family)), family
+                for system, bits in systems:
+                    assert bits == bits_of(p for ps in system.values() for p in ps), system
 
     # sha256 of the JSON lines of the enumeration, as `mirigs enumerate
     # replete --n N --json` prints them; sample_triples draws from this order.

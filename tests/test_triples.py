@@ -26,6 +26,7 @@ from mirigs.subsemigroups import (
     paths_beside,
     replete_closure_trees,
     right_system_histograms,
+    right_systems_by_family,
     union_closed_families,
 )
 from mirigs.thickets import Thicket, expansion_step, thicket_one, thicket_zero
@@ -418,7 +419,7 @@ class TestDominatedReference:
         checked = 0
         for fam in union_closed_families(3):
             candidates = triples._d_mask_candidates(3, fam)
-            for system in _right_systems(sorted(fam)):
+            for system, _ in _right_systems(sorted(fam)):
                 mirrored = {m: frozenset(p[::-1] for p in ps) for m, ps in system.items()}
                 for paths_of, mirror_of in ((system, mirrored), (mirrored, system)):
                     paths = [p for ps in paths_of.values() for p in ps]
@@ -449,6 +450,37 @@ class TestDominatedReference:
         systems = sum(sum(hist.values()) for _, hist in right_system_histograms(3))
         assert systems == 573
         assert triples._side_configs.cache_info().misses == systems
+
+
+class TestTriplesCensus:
+    """The triples census counts each S from its (left system, right
+    system, unit) triple and builds none; these compare it with the S that
+    enumerate_replete builds for the same triple."""
+
+    def test_pair_count_matches_built_s(self):
+        built = enumerate_replete(3)
+        pairs = 0
+        for family, systems in right_systems_by_family(3):
+            options = [triples._side_configs(3, bits) for _, bits in systems]
+            for (_, left_bits), left in zip(systems, options):
+                for (_, right_bits), right in zip(systems, options):
+                    for unit in (False, True):
+                        s = next(built)
+                        assert [mask for mask, _, _ in s.layers] == family and s.unit == unit
+                        assert bits_of(p[::-1] for _, lp, _ in s.layers for p in lp) == left_bits
+                        assert bits_of(p for _, _, rp in s.layers for p in rp) == right_bits
+                        count = triples._dominated_count(left, right, unit)
+                        assert count == count_dominated(s), s.layers
+                        pairs += 1
+        assert next(built, None) is None
+        assert pairs == 18030
+
+    def test_census_is_the_per_s_sum(self):
+        for n in range(4):
+            per_s = sum(
+                count_dominated(s) * 2 ** (len(s.layers) + s.unit) for s in enumerate_replete(n)
+            )
+            assert count_free_mirig(n, "triples") == per_s, n
 
 
 class TestCounting:
