@@ -25,12 +25,10 @@ from .monoid import (
     letter,
     lmp,
     mask_members,
-    mask_of,
     mask_size,
     node,
     parse_word,
     rmp,
-    star_right,
     tree_product,
     trees_with_lmp,
     trees_with_rmp,
@@ -126,63 +124,202 @@ def close_left(paths) -> frozenset:
     return _mirror(close_right(_mirror(paths)))
 
 
-@lru_cache(maxsize=None)
-def closed_path_sets(mask: int) -> tuple[frozenset, ...]:
-    """All inhabited within-layer-closed sets of right paths on an alphabet.
-
-    Small alphabets only; the height-3 case recovers the 22 closed sets.
-    """
-    members = tuple(mask_members(mask))
-    if len(members) > 3:
-        raise CapacityError("path-set catalogue supported for alphabets of size <= 3")
-    perms = list(itertools.permutations(members))
-    out = []
-    for r in range(1, len(perms) + 1):
-        for combo in itertools.combinations(perms, r):
-            ps = frozenset(combo)
-            if close_right(ps) == ps:
-                out.append(ps)
-    return tuple(sorted(out, key=lambda s: (len(s), sorted(s))))
-
-
 # ---------------------------------------------------------------------------
 # Path bitsets
 #
-# The censuses number every path once, so that a set of paths is an int
-# and a star-product check is an AND of ints.  One table holds the bits of
-# star_right products, and one check (paths_beside) reads it, both for the
-# catalogue and for the triples census's straggler options.
+# One numbering gives every nonempty path a number, so that a set of paths
+# is an int, and one table gives star_right of every two numbered paths.
+# The closures of path systems (close_bits, behind close_path_system and
+# the triple arithmetic) and the census checks (path_bits, paths_beside,
+# closed_path_set_bits and the triples census's straggler options) all read
+# these two.  The empty path, the trivial tree's, has no number: star_right
+# with it gives the other path back, so it never yields a new path, and
+# callers carry it as a flag beside the bits.
+
+
+class PathNumbering:
+    """The paths on the first `letters` letters, numbered by alphabet mask,
+    then in the order of itertools.permutations (lexicographic).  The
+    numbering on n letters is a prefix of the numbering on n + 1, so it
+    grows in place (grow) to the most letters asked for.
+
+    paths, masks and suffixes are indexed by number: a path, its alphabet
+    and the numbers of its suffixes p[j:] for 2 <= j < len(p), the only
+    ones whose within-layer products can add a path.  layer_bits and
+    layer_start are indexed by mask: the bits of all orderings of the mask,
+    and the number of its first one.  A row, built on first read, holds for
+    every numbered q the bit of star_right(p, q); its entries are the ints
+    of `bit`, shared, so a row costs a pointer per path and reaches 6
+    letters (1956 paths) in tens of megabytes."""
+
+    def __init__(self):
+        self.letters = 0
+        self.paths: list[tuple] = []
+        self.masks: list[int] = []
+        self.index: dict[tuple, int] = {}
+        self.bit: list[int] = []
+        self.suffixes: list[tuple[int, ...]] = []
+        self.layer_bits = [0]
+        self.layer_start = [0, 0]
+        self.rows: list = []
+
+    def grow(self, letters: int) -> "PathNumbering":
+        """Number the paths on up to `letters` letters; rows built before
+        are dropped, as they lack the new paths."""
+        if letters <= self.letters:
+            return self
+        for mask in range(1 << self.letters, 1 << letters):
+            start = len(self.paths)
+            for p in itertools.permutations(mask_members(mask)):
+                self.index[p] = len(self.paths)
+                self.paths.append(p)
+                self.masks.append(mask)
+                self.bit.append(1 << len(self.bit))
+                self.suffixes.append(tuple(self.index[p[j:]] for j in range(2, len(p))))
+            self.layer_bits.append((1 << len(self.paths)) - (1 << start))
+            self.layer_start.append(len(self.paths))
+        self.letters = letters
+        self.rows = [None] * len(self.paths)
+        return self
+
+    def number(self, p: tuple) -> int:
+        i = self.index.get(p)
+        if i is None:
+            self.grow(max(p) + 1)
+            i = self.index[p]
+        return i
+
+    def row(self, i: int) -> list:
+        """The bits of star_right(paths[i], q) for every numbered q, in
+        number order.  Per layer b, star_right(p, q) is p's letters outside
+        b, then q: q itself when p's alphabet lies in b, and otherwise, as q
+        runs through b's orderings in lexicographic order, the block of
+        layer a | b that starts with those letters, in its order."""
+        out = self.rows[i]
+        if out is None:
+            p, a = self.paths[i], self.masks[i]
+            start = self.layer_start
+            out = []
+            for b in range(1, 1 << self.letters):
+                lo, hi = start[b], start[b + 1]
+                if a & ~b:
+                    head = tuple([x for x in p if not b >> x & 1])
+                    lo, hi = self.index[head + self.paths[lo]], self.index[head + self.paths[hi - 1]] + 1
+                out += self.bit[lo:hi]
+            self.rows[i] = out
+        return out
+
+
+_NUMBERING = PathNumbering()
+
+
+def path_numbering(letters: int) -> PathNumbering:
+    """The shared numbering, grown to at least `letters` letters."""
+    return _NUMBERING.grow(letters)
+
+
+def bit_numbers(bits: int) -> list[int]:
+    """The numbers of the paths in bits, ascending."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return out
+
+
+def bits_of(paths) -> int:
+    """The bits of nonempty paths."""
+    num = _NUMBERING
+    bit = num.bit
+    out = 0
+    for p in paths:
+        out |= bit[num.number(p)]
+    return out
+
+
+def close_bits(bits: int, replete: bool) -> int:
+    """Star closure of the right path system with these bits, and with
+    replete the within-layer closure too: star_right(p, s) for p and q on
+    one layer and s a suffix of q.
+
+    Semi-naive: each path, once taken from the worklist, is met with itself
+    and each path taken before it, so every pair is met once.  A pair is
+    skipped when its target layer, the union of its alphabets, already
+    holds every ordering of its alphabet."""
+    num = _NUMBERING
+    masks, suffixes, rows, row, layer_bits = (
+        num.masks, num.suffixes, num.rows, num.row, num.layer_bits
+    )
+    closed = bits
+    frontier = bit_numbers(bits)
+    done: dict[int, list[int]] = {}
+    while frontier:
+        i = frontier.pop()
+        a = masks[i]
+        ri = row(i)
+        done.setdefault(a, []).append(i)
+        new = 0
+        for b, js in done.items():
+            full = layer_bits[a | b]
+            if closed & full == full:
+                continue
+            if a != b:
+                # star_right(x, y) is y when x's alphabet lies in y's.
+                if a & ~b:
+                    for j in js:
+                        new |= ri[j]
+                if b & ~a:
+                    for j in js:
+                        new |= rows[j][i]
+            elif replete:
+                si = suffixes[i]
+                for j in js:
+                    rj = rows[j]
+                    for s in suffixes[j]:
+                        new |= ri[s]
+                    for s in si:
+                        new |= rj[s]
+        new &= ~closed
+        if new:
+            closed |= new
+            frontier += bit_numbers(new)
+    return closed
+
+
+def star_product_bits(unit1: bool, bits1: int, unit2: bool, bits2: int) -> int:
+    """The bits of star_right(p, q) for p among bits1 and q among bits2,
+    each side with the empty path when its unit flag is set; the empty
+    path itself, star_right((), ()), is left to the caller."""
+    out = (bits2 if unit1 else 0) | (bits1 if unit2 else 0)
+    row = _NUMBERING.row
+    qs = bit_numbers(bits2)
+    for i in bit_numbers(bits1):
+        r = row(i)
+        for j in qs:
+            out |= r[j]
+    return out
 
 
 @lru_cache(maxsize=None)
 def path_bits() -> dict[tuple, int]:
-    """A fixed bit for every nonempty path on the first MAX_REPLETE_N
-    letters, numbered by alphabet mask, then in the order of
-    itertools.permutations."""
-    paths = [
-        p
-        for mask in range(1, 1 << MAX_REPLETE_N)
-        for p in itertools.permutations(mask_members(mask))
-    ]
-    return {p: 1 << i for i, p in enumerate(paths)}
-
-
-def bits_of(paths) -> int:
-    bit = path_bits()
-    out = 0
-    for p in paths:
-        out |= bit[p]
-    return out
+    """The bit of every nonempty path on the first MAX_REPLETE_N letters:
+    the numbering's prefix on those letters."""
+    num = path_numbering(MAX_REPLETE_N)
+    count = num.layer_start[1 << MAX_REPLETE_N]
+    return dict(zip(num.paths[:count], num.bit[:count]))
 
 
 @lru_cache(maxsize=None)
 def _star_pair_bits() -> dict[tuple, dict[tuple, int]]:
     """For every two paths rho and sigma that path_bits numbers, the bits of
-    star_right(rho, sigma) and star_right(sigma, rho)."""
-    bit = path_bits()
+    star_right(rho, sigma) and star_right(sigma, rho), read from the rows."""
+    num = path_numbering(MAX_REPLETE_N)
+    paths = list(path_bits())
+    rows = [num.row(i) for i in range(len(paths))]
     return {
-        rho: {sigma: bit[star_right(rho, sigma)] | bit[star_right(sigma, rho)] for sigma in bit}
-        for rho in bit
+        rho: {sigma: rows[i][j] | rows[j][i] for j, sigma in enumerate(paths)}
+        for i, rho in enumerate(paths)
     }
 
 
@@ -205,13 +342,34 @@ def paths_beside(candidates, paths, within: int) -> list:
 
 
 @lru_cache(maxsize=None)
+def closed_path_sets(mask: int) -> tuple[frozenset, ...]:
+    """All inhabited within-layer-closed sets of right paths on an alphabet.
+
+    Small alphabets only; the height-3 case recovers the 22 closed sets.
+    """
+    members = tuple(mask_members(mask))
+    if len(members) > 3:
+        raise CapacityError("path-set catalogue supported for alphabets of size <= 3")
+    perms = list(itertools.permutations(members))
+    bits = [bits_of([p]) for p in perms]
+    out = []
+    for r in range(1, len(perms) + 1):
+        for combo in itertools.combinations(range(len(perms)), r):
+            b = sum(bits[k] for k in combo)
+            if close_bits(b, replete=True) == b:
+                out.append(frozenset(perms[k] for k in combo))
+    return tuple(sorted(out, key=lambda s: (len(s), sorted(s))))
+
+
+@lru_cache(maxsize=None)
 def closed_path_set_bits(mask: int) -> tuple[tuple[frozenset, int, int], ...]:
     """closed_path_sets(mask), each entry with the bits of its own paths and
     the bits of the paths p on proper sub-alphabets of mask that it admits:
     star_right(t, p) is in the entry for every t in it.  These are the paths
     beside the entry, as star_right(p, t) is t."""
     check_n(mask.bit_length(), MAX_REPLETE_N, "path-set catalogue")
-    below = [p for p in path_bits() if mask_of(p) & mask == mask_of(p) != mask]
+    masks = path_numbering(MAX_REPLETE_N).masks
+    below = [p for p, a in zip(path_bits(), masks) if a & mask == a != mask]
     out = []
     for target in closed_path_sets(mask):
         own = bits_of(target)
@@ -251,32 +409,11 @@ def expand_layer(mask: int, left_paths, right_paths) -> TreeSet:
 
 def _close_rights(paths, replete: bool) -> frozenset:
     """Star closure of a right path system, and with replete the
-    within-layer closure too.  Semi-naive: each path, once taken from the
-    worklist, is met with itself and each path taken before it, so every
-    pair is met once."""
-    closed = set(paths)
-    frontier = [(mask_of(p), p) for p in closed]
-    done: dict[int, list] = {}
-    while frontier:
-        a, p = frontier.pop()
-        done.setdefault(a, []).append(p)
-        for b, qs in done.items():
-            if a == b and not replete:
-                continue
-            for q in qs:
-                # star_right(x, y) is y when x's alphabet lies in y's.
-                # Within a layer, a suffix one letter short gives its whole
-                # path back too, so only shorter ones can add a path.
-                if a != b:
-                    out = (star_right(p, q) if a & ~b else q, star_right(q, p) if b & ~a else p)
-                else:
-                    out = [star_right(p, q[j:]) for j in range(2, len(q))]
-                    out += [star_right(q, p[j:]) for j in range(2, len(p))]
-                for r in out:
-                    if r not in closed:
-                        closed.add(r)
-                        frontier.append((a | b, r))
-    return frozenset(closed)
+    within-layer closure too (close_bits), as a set of paths."""
+    paths = frozenset(paths)
+    numbered = _NUMBERING.paths
+    out = frozenset(numbered[i] for i in bit_numbers(close_bits(bits_of(paths - {()}), replete)))
+    return out | {()} if () in paths else out
 
 
 def _mirror(paths) -> frozenset:
@@ -408,15 +545,27 @@ class RepleteSubsemigroup:
     def from_paths(n, lefts, rights) -> "RepleteSubsemigroup":
         """From replete-closed left and right path systems (see
         close_path_system)."""
-        layer_dict: dict[int, tuple[list, list]] = {}
-        for side, paths in enumerate((lefts, rights)):
-            for p in paths:
-                if p:
-                    layer_dict.setdefault(mask_of(p), ([], []))[side].append(p)
-        return RepleteSubsemigroup.from_layer_dict(n, () in rights, layer_dict)
+        return RepleteSubsemigroup.from_path_bits(
+            n, () in rights, bits_of(p[::-1] for p in lefts if p), bits_of(p for p in rights if p)
+        )
 
-    # paths() and alphabet_masks() are computed once per object and kept
-    # in its __dict__, outside the dataclass fields.
+    @staticmethod
+    def from_path_bits(n, unit, lefts: int, rights: int) -> "RepleteSubsemigroup":
+        """From the bits of replete-closed path systems: the left paths'
+        mirror images and the right paths (see bits)."""
+        num = _NUMBERING
+        paths, masks = num.paths, num.masks
+        layer_dict: dict[int, tuple[list, list]] = {}
+        for i in bit_numbers(lefts):
+            layer_dict.setdefault(masks[i], ([], []))[0].append(paths[i][::-1])
+        for i in bit_numbers(rights):
+            layer_dict.setdefault(masks[i], ([], []))[1].append(paths[i])
+        out = RepleteSubsemigroup.from_layer_dict(n, unit, layer_dict)
+        object.__setattr__(out, "_bits", (lefts, rights))
+        return out
+
+    # paths(), bits() and alphabet_masks() are computed once per object and
+    # kept in its __dict__, outside the dataclass fields.
 
     def paths(self) -> tuple[frozenset, frozenset]:
         """The left and right path systems, with () for the trivial tree."""
@@ -428,6 +577,18 @@ class RepleteSubsemigroup:
                 frozenset(unit + [p for _, _, rp in self.layers for p in rp]),
             )
             object.__setattr__(self, "_paths", out)
+        return out
+
+    def bits(self) -> tuple[int, int]:
+        """The bits (bits_of) of the mirror images of the left paths and of
+        the right paths, the trivial tree's empty path left out."""
+        out = self.__dict__.get("_bits")
+        if out is None:
+            out = (
+                bits_of(p[::-1] for _, lp, _ in self.layers for p in lp),
+                bits_of(p for _, _, rp in self.layers for p in rp),
+            )
+            object.__setattr__(self, "_bits", out)
         return out
 
     def alphabet_masks(self) -> frozenset[int]:

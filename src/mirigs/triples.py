@@ -26,14 +26,11 @@ from .monoid import (
     gen_tree,
     lmp,
     mask_members,
-    mask_of,
     mask_size,
     node,
     parse_tree,
     render_tree,
     rmp,
-    star_left,
-    star_right,
     tree_product,
     trees_with_lmp,
     trees_with_rmp,
@@ -41,18 +38,21 @@ from .monoid import (
 from .subsemigroups import (
     MAX_REPLETE_N,
     RepleteSubsemigroup,
-    close_path_system,
+    bit_numbers,
+    bits_of,
+    close_bits,
     close_under_product,  # not called here; perfbench wraps it as triples.close_under_product
     count_replete,
     enumerate_replete,
     is_replete,
     is_subsemigroup,
     layer_of,
-    path_bits,
     path_class_size,
+    path_numbering,
     paths_beside,
     right_system_histograms,
     right_systems_by_family,
+    star_product_bits,
 )
 from .thickets import Thicket, apparity_by_alphabet
 from .quotients import N22
@@ -152,12 +152,31 @@ def validate_triple(c: ComplementaryTriple) -> None:
 # which depends only on the path systems (see close_path_system).
 
 
-def _carrier_paths(c: ComplementaryTriple) -> tuple[frozenset, frozenset]:
-    lefts, rights = c.s.paths()
-    if c.d:
-        lefts = lefts | {lmp(t) for t in c.d}
-        rights = rights | {rmp(t) for t in c.d}
-    return lefts, rights
+# Bound on the memo of a tree's extremal-path bits: the stragglers that
+# arithmetic meets are few and recur from operation to operation.
+EXTREMAL_BITS_MEMO = 4096
+
+
+@lru_cache(maxsize=EXTREMAL_BITS_MEMO)
+def _extremal_bits(t: Tree) -> tuple[int, int]:
+    """The bits of a nontrivial tree's leftmost path, mirrored, and of its
+    rightmost path."""
+    return bits_of([lmp(t)[::-1]]), bits_of([rmp(t)])
+
+
+def _carrier_bits(c: ComplementaryTriple) -> tuple[bool, int, int]:
+    """Whether the carrier holds the trivial tree, and the bits (bits_of)
+    of its left paths' mirror images and of its right paths."""
+    lefts, rights = c.s.bits()
+    unit = c.s.unit
+    for t in c.d:
+        if t.alpha:
+            left, right = _extremal_bits(t)
+            lefts |= left
+            rights |= right
+        else:
+            unit = True
+    return unit, lefts, rights
 
 
 # Bound on the memo of replete parts: arithmetic and normalization repeat
@@ -166,22 +185,28 @@ REPLETE_PART_MEMO = 4096
 
 
 @lru_cache(maxsize=REPLETE_PART_MEMO)
-def _replete_part(n: int, lefts: frozenset, rights: frozenset, drop: frozenset):
-    """The least replete subsemigroup over the closure of the path systems,
-    less the layers on the alphabets in drop."""
+def _replete_part(n: int, unit: bool, lefts: int, rights: int, drop: frozenset):
+    """The least replete subsemigroup over the closure of the path systems
+    (the trivial tree when unit, and the bits of the left paths' mirror
+    images and of the right paths), less the layers on the alphabets in
+    drop."""
     if drop:
         # The dropped layers take part in products before they are split off.
-        lefts, rights = close_path_system(lefts, rights)
-        lefts = [p for p in lefts if mask_of(p) not in drop]
-        rights = [p for p in rights if mask_of(p) not in drop]
-    return RepleteSubsemigroup.from_paths(n, *close_path_system(lefts, rights, replete=True))
+        layers = path_numbering(n).layer_bits
+        keep = ~sum(layers[a] for a in drop)
+        lefts = close_bits(lefts, replete=False) & keep
+        rights = close_bits(rights, replete=False) & keep
+        unit = unit and 0 not in drop
+    return RepleteSubsemigroup.from_path_bits(
+        n, unit, close_bits(lefts, replete=True), close_bits(rights, replete=True)
+    )
 
 
-def _close_up(n: int, lefts, rights, stragglers, odd) -> ComplementaryTriple:
+def _close_up(n: int, unit: bool, lefts: int, rights: int, stragglers, odd) -> ComplementaryTriple:
     """The triple with the given stragglers and parity whose S closes up
-    the path systems without the straggler layers."""
+    the path systems (as in _replete_part) without the straggler layers."""
     drop = frozenset(t.alpha for t in stragglers)
-    s = _replete_part(n, frozenset(lefts), frozenset(rights), drop)
+    s = _replete_part(n, unit, lefts, rights, drop)
     return ComplementaryTriple(n, s, frozenset(stragglers), frozenset(odd))
 
 
@@ -213,9 +238,10 @@ def normalize_thicket(f: Thicket) -> ComplementaryTriple:
     }
     parity = apparity_by_alphabet(f)
     odd = {a for a, value in parity.items() if value % 2 == 1}
-    lefts = {lmp(t) for t, _ in f.items()}
-    rights = {rmp(t) for t, _ in f.items()}
-    return _close_up(f.n, lefts, rights, stragglers, odd)
+    trees = [t for t, _ in f.items() if t.alpha]
+    lefts = bits_of({lmp(t)[::-1] for t in trees})
+    rights = bits_of({rmp(t) for t in trees})
+    return _close_up(f.n, len(trees) < len(f.items()), lefts, rights, stragglers, odd)
 
 
 def triple_canonical_thicket(c: ComplementaryTriple) -> Thicket:
@@ -261,15 +287,16 @@ def _product_stragglers(c1, c2):
 
 def triple_mul(c1: ComplementaryTriple, c2: ComplementaryTriple) -> ComplementaryTriple:
     _check_same(c1, c2)
-    l1, r1 = _carrier_paths(c1)
-    l2, r2 = _carrier_paths(c2)
-    lefts = {star_left(p, q) for p in l1 for q in l2}
-    rights = {star_right(p, q) for p in r1 for q in r2}
+    u1, l1, r1 = _carrier_bits(c1)
+    u2, l2, r2 = _carrier_bits(c2)
+    # star_left(p, q) reversed is star_right(q reversed, p reversed).
+    lefts = star_product_bits(u2, l2, u1, l1)
+    rights = star_product_bits(u1, r1, u2, r2)
     odd = set()
     for a1 in c1.odd:
         for a2 in c2.odd:
             odd ^= {a1 | a2}
-    return _close_up(c1.n, lefts, rights, _product_stragglers(c1, c2), odd)
+    return _close_up(c1.n, u1 and u2, lefts, rights, _product_stragglers(c1, c2), odd)
 
 
 def triple_add(c1: ComplementaryTriple, c2: ComplementaryTriple) -> ComplementaryTriple:
@@ -280,15 +307,17 @@ def triple_add(c1: ComplementaryTriple, c2: ComplementaryTriple) -> Complementar
     } | {
         u for u in c2.d if all(b & ~u.alpha for b in m1)
     }
-    l1, r1 = _carrier_paths(c1)
-    l2, r2 = _carrier_paths(c2)
-    return _close_up(c1.n, l1 | l2, r1 | r2, stragglers, c1.odd ^ c2.odd)
+    u1, l1, r1 = _carrier_bits(c1)
+    u2, l2, r2 = _carrier_bits(c2)
+    return _close_up(c1.n, u1 or u2, l1 | l2, r1 | r2, stragglers, c1.odd ^ c2.odd)
 
 
 # eval/eq answer within 1 GiB and 60 s (FORMATS.md) up to this many
-# generators: (a+b+c+d+e)^2 closes every alphabet in about 1.5 s, while at
-# six generators (a+...+f)*(a*b+c*d+e*f) takes 40-50 s (2-vCPU Xeon).
-MAX_EVAL_N = 5
+# generators: at six, (a+...+f)*(a*b+c*d+e*f), whose S has 37 layers and
+# 1878 left paths, takes about 1 s at 50 MB peak RSS, most of it the star
+# table's 1956 rows (scripts/eval_times.py, 2-vCPU Xeon).  Seven letters number 13 699 paths,
+# and their rows would take about 1.5 GB.
+MAX_EVAL_N = 6
 
 
 def eval_expression(expr, n: int) -> ComplementaryTriple:
@@ -381,8 +410,10 @@ def _side_configs(n: int, bits: int) -> SideOptions:
     on alphabet a with given extremal paths is one of path_class_size(|a|)
     left branches times as many right ones, hence the weights.  Shared by
     every S with this system on either side; do not mutate."""
-    paths = [p for p, b in path_bits().items() if bits & b]
-    family = frozenset(mask_of(p) for p in paths)
+    num = path_numbering(MAX_REPLETE_N)
+    numbers = bit_numbers(bits)
+    paths = [num.paths[i] for i in numbers]
+    family = frozenset(num.masks[i] for i in numbers)
     options = {
         a: paths_beside(itertools.permutations(mask_members(a)), paths, bits)
         for a in _d_mask_candidates(n, family)
@@ -408,13 +439,7 @@ def _side_options(s: RepleteSubsemigroup) -> tuple[SideOptions, SideOptions]:
     """The straggler options of both sides of s: the left system reads the
     entry of the right system it mirrors."""
     check_n(s.n, MAX_REPLETE_N, "straggler options")
-    bit = path_bits()
-    left = right = 0
-    for _, lp, rp in s.layers:
-        for p in lp:
-            left |= bit[p[::-1]]
-        for p in rp:
-            right |= bit[p]
+    left, right = s.bits()
     return _side_configs(s.n, left), _side_configs(s.n, right)
 
 

@@ -26,6 +26,7 @@ from mirigs.triples import MAX_EVAL_N
 SRC = Path(__file__).resolve().parents[1] / "src"
 CENSUS_SCRIPT = SRC.parent / "scripts" / "census.py"
 CHILD_ADDRESS_SPACE = 1 << 30
+ALL_LETTERS = "+".join(letter(g) for g in range(MAX_EVAL_N))
 
 
 def run(capsys, *argv):
@@ -259,9 +260,10 @@ class TestFailFast:
         [
             (("eq", "--n", "4", "(a+b+c+d)*(a+b+c+d)", "a+b+c+d"), "equal"),
             (("eq", "--n", "4", "a*b+c*d", "c*d+a*b+a*b*c*d"), "different"),
-            (("eq", "--n", str(MAX_EVAL_N), "(a+b+c+d+e)*(a+b+c+d+e)", "a+b+c+d+e"), "equal"),
+            (("eq", "--n", "5", "(a+b+c+d+e)*(a+b+c+d+e)", "a+b+c+d+e"), "equal"),
+            (("eq", "--n", str(MAX_EVAL_N), f"({ALL_LETTERS})*({ALL_LETTERS})", ALL_LETTERS), "equal"),
         ],
-        ids=["n4-equal", "n4-different", "largest-n"],
+        ids=["n4-equal", "n4-different", "n5-equal", "largest-n"],
     )
     def test_eq_answers(self, argv, expected):
         proc = run_child(*argv)
@@ -273,6 +275,19 @@ class TestFailFast:
         data = json.loads(proc.stdout)
         assert data["S"]["alphabets"] == [15] and data["p"] == [3, 12]
         assert data["D"] == ["((() a a ()) b a (() b b ()))", "((() c c ()) d c (() d d ()))"]
+
+    def test_eval_json_largest_n_answers(self):
+        # (a+b+...)*(a*b+c*d+...) on MAX_EVAL_N letters: S's alphabets are
+        # the unions of the alphabets of the expanded monomials.
+        pairs = [range(g, min(g + 2, MAX_EVAL_N)) for g in range(0, MAX_EVAL_N, 2)]
+        expr = f"({ALL_LETTERS})*({'+'.join('*'.join(letter(g) for g in p) for p in pairs)})"
+        proc = run_child("eval", "--n", str(MAX_EVAL_N), "--format", "json", expr)
+        assert proc.returncode == 0 and not proc.stderr
+        family = {1 << g | sum(1 << h for h in p) for g in range(MAX_EVAL_N) for p in pairs}
+        while len(unions := family | {a | b for a in family for b in family}) > len(family):
+            family = unions
+        data = json.loads(proc.stdout)
+        assert data["S"]["alphabets"] == sorted(family) and data["D"] == []
 
     @pytest.mark.parametrize(
         "argv",

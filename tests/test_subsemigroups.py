@@ -22,10 +22,13 @@ from mirigs.monoid import (
     tree_product,
 )
 from mirigs.subsemigroups import (
+    PathNumbering,
     RepleteSubsemigroup,
     _right_systems,
+    _star_pair_bits,
     alphabet_family,
     bits_of,
+    close_bits,
     close_left,
     close_path_system,
     close_right,
@@ -41,9 +44,11 @@ from mirigs.subsemigroups import (
     is_subsemigroup,
     path_bits,
     path_class,
+    path_numbering,
     path_class_size,
     replete_closure,
     replete_closure_trees,
+    star_product_bits,
     union_closed_families,
     xy_factor,
 )
@@ -206,6 +211,8 @@ class TestPathSystemClosure:
     def test_paths_roundtrip(self):
         for s in enumerate_replete(2):
             assert RepleteSubsemigroup.from_paths(2, *s.paths()) == s
+            built = RepleteSubsemigroup.from_path_bits(2, s.unit, *s.bits())
+            assert built == s and built.bits() == s.bits()
 
     def test_leaf_is_the_empty_path(self):
         assert close_path_system({()}, {()}, replete=True) == ({()}, {()})
@@ -248,6 +255,88 @@ class TestClosureReference:
             assert close_path_system(lefts, rights, replete) == ref.close_path_system(
                 lefts, rights, replete
             ), (lefts, rights)
+
+
+class TestPathEngine:
+    """The path numbering, its star table and the bitset closure."""
+
+    @staticmethod
+    def random_paths(rng, n, most):
+        return {_random_path(rng, n) for _ in range(rng.randint(1, most))} - {()}
+
+    @pytest.mark.parametrize("replete", [False, True])
+    def test_close_bits_matches_reference_n3(self, replete):
+        rng = random.Random(3 + replete)
+        for _ in range(2000):
+            paths = self.random_paths(rng, 3, 6)
+            closed = close_bits(bits_of(paths), replete)
+            assert closed == bits_of(ref.close_rights(paths, replete)), paths
+
+    @pytest.mark.parametrize("n,count", [(4, 200), (5, 30)])
+    @pytest.mark.parametrize("replete", [False, True])
+    def test_close_bits_matches_reference_sampled(self, n, count, replete):
+        rng = random.Random(10 * n + replete)
+        for _ in range(count):
+            paths = self.random_paths(rng, n, 4)
+            closed = close_bits(bits_of(paths), replete)
+            assert closed == bits_of(ref.close_rights(paths, replete)), paths
+
+    def test_numbering_is_prefix_stable(self):
+        numberings = [PathNumbering().grow(n) for n in range(7)]
+        for small, large in zip(numberings, numberings[1:]):
+            count = len(small.paths)
+            assert large.paths[:count] == small.paths
+            assert large.masks[:count] == small.masks
+            assert large.suffixes[:count] == small.suffixes
+        assert [len(num.paths) for num in numberings] == [0, 1, 4, 15, 64, 325, 1956]
+        shared = path_numbering(4)
+        assert shared.paths[:64] == numberings[4].paths
+
+    def test_numbering_order(self):
+        num = PathNumbering().grow(4)
+        expected = [
+            p for mask in range(1, 16) for p in itertools.permutations(mask_members(mask))
+        ]
+        assert num.paths == expected
+        assert num.masks == [mask_of(p) for p in expected]
+        assert num.bit == [1 << i for i in range(len(expected))]
+        for i, p in enumerate(num.paths):
+            assert num.suffixes[i] == tuple(num.index[p[j:]] for j in range(2, len(p)))
+        for mask in range(1, 16):
+            layer = [i for i, m in enumerate(num.masks) if m == mask]
+            assert num.layer_bits[mask] == sum(1 << i for i in layer)
+            assert num.layer_start[mask] == layer[0]
+
+    def test_path_bits_are_the_three_letter_prefix(self):
+        num = PathNumbering().grow(3)
+        assert path_bits() == dict(zip(num.paths, num.bit))
+
+    def test_rows_match_star_right(self):
+        num = PathNumbering().grow(4)
+        for i, p in enumerate(num.paths):
+            row = num.row(i)
+            assert len(row) == len(num.paths)
+            for q, product in zip(num.paths, row):
+                assert product == 1 << num.index[star_right(p, q)], (p, q)
+
+    def test_star_pair_bits_match_star_right(self):
+        bits = path_bits()
+        table = _star_pair_bits()
+        assert list(table) == list(bits)
+        for rho, row in table.items():
+            assert list(row) == list(bits)
+            for sigma, products in row.items():
+                assert products == bits[star_right(rho, sigma)] | bits[star_right(sigma, rho)]
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_star_product_bits(self, n):
+        rng = random.Random(n)
+        for _ in range(200):
+            units = rng.random() < 0.5, rng.random() < 0.5
+            sides = [self.random_paths(rng, n, 5) | ({()} if u else set()) for u in units]
+            expected = {star_right(p, q) for p in sides[0] for q in sides[1]} - {()}
+            got = star_product_bits(units[0], bits_of(sides[0] - {()}), units[1], bits_of(sides[1] - {()}))
+            assert got == bits_of(expected), sides
 
 
 class TestBranchSets:

@@ -27,8 +27,9 @@ down, where `mirigs.triples` builds the up-sets by recursion on n.
 
 `close_right` re-meets every pair of a layer with every suffix after each
 growth, and `close_rights` alternates a star closure with it until neither
-adds a path, where `mirigs.subsemigroups._close_rights` meets each new path
-once with the paths before it under both rules.
+adds a path, where `mirigs.subsemigroups.close_bits` meets each new path
+once with the paths before it under both rules, as bitsets over one
+numbering of the paths, reading star products from a table.
 
 `_d_configs` works out each S's straggler options from scratch, testing
 every star product for membership in a set of paths, where
