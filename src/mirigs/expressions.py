@@ -47,6 +47,20 @@ Node = Union[Const, Gen, Add, Mul]
 MAX_NESTING = 100
 
 
+# Only 0, 1 and the parity of a larger constant matter in the rig, so a
+# constant of more digits than this (leading zeros aside) is read as the
+# least one of its class, 2 or 3.  Python converts this many digits to an
+# int under any setting of its digit limit (sys.set_int_max_str_digits).
+EXACT_CONST_DIGITS = 640
+
+
+def _constant_value(digits: str) -> int:
+    digits = digits.lstrip("0") or "0"
+    if len(digits) <= EXACT_CONST_DIGITS:
+        return int(digits)
+    return 2 + (ord(digits[-1]) - ord("0")) % 2
+
+
 def parse_expression(text: str) -> Node:
     pos = 0
     depth = 0
@@ -74,11 +88,11 @@ def parse_expression(text: str) -> Node:
             pos += 1
             depth -= 1
             return e
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             start = pos
-            while pos < len(text) and text[pos].isdigit():
+            while pos < len(text) and "0" <= text[pos] <= "9":
                 pos += 1
-            return Const(int(text[start:pos]))
+            return Const(_constant_value(text[start:pos]))
         if "a" <= ch <= "z":
             pos += 1
             return Gen(ord(ch) - ord("a"))

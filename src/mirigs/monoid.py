@@ -11,7 +11,7 @@ by the subsemigroup machinery.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, Optional
 
 from .errors import CapacityError, ParseError
 
@@ -96,18 +96,11 @@ def mask_of(gens) -> int:
 # Green-Rees decomposition of a word
 
 
-class GrfDecomposition(NamedTuple):
-    """w ~ p a b q with p the maximal prefix missing exactly the generator a
-    and q the maximal suffix missing exactly the generator b."""
-
-    p: Word
-    a: int
-    b: int
-    q: Word
-
-
-def grf(w: Word) -> GrfDecomposition:
-    """The Green-Rees decomposition of a nonempty word.
+def grf(w: Word) -> tuple[Word, int, int, Word]:
+    """The Green-Rees decomposition (p, a, b, q) of a nonempty word: w ~ p a
+    b q with p the maximal prefix missing exactly the generator a and q the
+    maximal suffix missing exactly the generator b.  A plain tuple, which
+    is cheaper to build than a named one.
 
     a is the last generator to make its first appearance, and p ends just
     before that appearance; b and q are found the same way on the reversed
@@ -119,7 +112,7 @@ def grf(w: Word) -> GrfDecomposition:
     a = [*dict.fromkeys(w)][-1]
     r = w[::-1]
     b = [*dict.fromkeys(r)][-1]
-    return GrfDecomposition(w[: w.index(a)], a, b, w[len(w) - r.index(b) :])
+    return w[: w.index(a)], a, b, w[len(w) - r.index(b) :]
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import FrozenSet, Iterator, NamedTuple
 
 from .errors import CapacityError
@@ -74,6 +74,29 @@ class ComplementaryTriple:
     def alphabet_masks(self) -> FrozenSet[int]:
         return self.s.alphabet_masks() | frozenset(t.alpha for t in self.d)
 
+    @cached_property
+    def summary(self) -> tuple[bool, int, int, int]:
+        """The carrier as the arithmetic reads it: whether it holds the
+        trivial tree, the bits (bits_of) of its left paths' mirror images
+        and of its right paths, and its alphabets as a bitset, bit a set for
+        each alphabet a of S's layers and D's stragglers.  Computed once per
+        object and kept in its __dict__, outside the dataclass fields."""
+        s = self.s
+        lefts, rights = s.bits()
+        unit = s.unit
+        alphas = int(unit)
+        for mask, _, _ in s.layers:
+            alphas |= 1 << mask
+        for t in self.d:
+            alphas |= 1 << t.alpha
+            if t.alpha:
+                left, right = _extremal_bits(t)
+                lefts |= left
+                rights |= right
+            else:
+                unit = True
+        return unit, lefts, rights, alphas
+
     def to_json(self) -> dict:
         return {
             "S": self.s.to_json(),
@@ -102,6 +125,12 @@ def one(n: int) -> ComplementaryTriple:
     return _triple(n, False, {LEAF}, {0})
 
 
+# Bound on the memo of generator triples, one per (generator, n): an
+# expression's leaves share them, and so their cached summaries.
+GEN_MEMO = 64
+
+
+@lru_cache(maxsize=GEN_MEMO)
 def gen(i: int, n: int) -> ComplementaryTriple:
     if not 0 <= i < n:
         raise ValueError(f"generator {i} out of range for n={n}")
@@ -164,39 +193,24 @@ def _extremal_bits(t: Tree) -> tuple[int, int]:
     return bits_of([lmp(t)[::-1]]), bits_of([rmp(t)])
 
 
-def _carrier_bits(c: ComplementaryTriple) -> tuple[bool, int, int]:
-    """Whether the carrier holds the trivial tree, and the bits (bits_of)
-    of its left paths' mirror images and of its right paths."""
-    lefts, rights = c.s.bits()
-    unit = c.s.unit
-    for t in c.d:
-        if t.alpha:
-            left, right = _extremal_bits(t)
-            lefts |= left
-            rights |= right
-        else:
-            unit = True
-    return unit, lefts, rights
-
-
 # Bound on the memo of replete parts: arithmetic and normalization repeat
 # their closure inputs often.
 REPLETE_PART_MEMO = 4096
 
 
 @lru_cache(maxsize=REPLETE_PART_MEMO)
-def _replete_part(n: int, unit: bool, lefts: int, rights: int, drop: frozenset):
+def _replete_part(n: int, unit: bool, lefts: int, rights: int, drop: int):
     """The least replete subsemigroup over the closure of the path systems
     (the trivial tree when unit, and the bits of the left paths' mirror
     images and of the right paths), less the layers on the alphabets in
-    drop."""
+    drop (bit a set for alphabet a)."""
     if drop:
         # The dropped layers take part in products before they are split off.
         layers = path_numbering(n).layer_bits
-        keep = ~sum(layers[a] for a in drop)
+        keep = ~sum(layers[a] for a in bit_numbers(drop))
         lefts = close_bits(lefts, replete=False) & keep
         rights = close_bits(rights, replete=False) & keep
-        unit = unit and 0 not in drop
+        unit = unit and not drop & 1
     return RepleteSubsemigroup.from_path_bits(
         n, unit, close_bits(lefts, replete=True), close_bits(rights, replete=True)
     )
@@ -205,7 +219,9 @@ def _replete_part(n: int, unit: bool, lefts: int, rights: int, drop: frozenset):
 def _close_up(n: int, unit: bool, lefts: int, rights: int, stragglers, odd) -> ComplementaryTriple:
     """The triple with the given stragglers and parity whose S closes up
     the path systems (as in _replete_part) without the straggler layers."""
-    drop = frozenset(t.alpha for t in stragglers)
+    drop = 0
+    for t in stragglers:
+        drop |= 1 << t.alpha
     s = _replete_part(n, unit, lefts, rights, drop)
     return ComplementaryTriple(n, s, frozenset(stragglers), frozenset(odd))
 
@@ -269,26 +285,56 @@ def _check_same(c1, c2):
         raise ValueError("triples over different generator counts")
 
 
+# Bound on the memo of subset tables, one per generator count.
+SUBSET_TABLE_MEMO = 16
+
+
+@lru_cache(maxsize=SUBSET_TABLE_MEMO)
+def _subset_table(n: int) -> tuple[int, ...]:
+    """sub[a] has bit b set iff b is a subset of a, for every alphabet a on
+    n letters: the subsets of a are those of a without its lowest letter,
+    and the same with it added."""
+    sub = [1]
+    for a in range(1, 1 << n):
+        low = a & -a
+        below = sub[a ^ low]
+        sub.append(below | below << low)
+    return tuple(sub)
+
+
+def _sum_stragglers(c1, c2):
+    """The stragglers of c1 + c2: those of either summand whose alphabet
+    holds no alphabet of the other's carrier."""
+    sub = _subset_table(c1.n)
+    m1, m2 = c1.summary[3], c2.summary[3]
+    return {t for t in c1.d if not m2 & sub[t.alpha]} | {
+        u for u in c2.d if not m1 & sub[u.alpha]
+    }
+
+
 def _product_stragglers(c1, c2):
     """The products t*u of stragglers t of c1 and u of c2 whose alphabet
     holds the product of no other pair of carrier trees.  S's layers and the
-    stragglers all have distinct alphabets, so alphabets decide it."""
+    stragglers all have distinct alphabets, so alphabets decide it: the
+    pairs of carrier alphabets whose union lies in t.alpha | u.alpha number
+    the alphabets of c1 in it times those of c2, and t and u make one pair."""
     if not (c1.d and c2.d):
         return set()
-    joint = [a1 | a2 for a1 in c1.alphabet_masks() for a2 in c2.alphabet_masks()]
+    sub = _subset_table(c1.n)
+    m1, m2 = c1.summary[3], c2.summary[3]
     out = set()
     for t in c1.d:
         for u in c2.d:
-            a = t.alpha | u.alpha
-            if sum(1 for b in joint if not b & ~a) == 1:
+            below = sub[t.alpha | u.alpha]
+            if (m1 & below).bit_count() == 1 == (m2 & below).bit_count():
                 out.add(tree_product(t, u))
     return out
 
 
 def triple_mul(c1: ComplementaryTriple, c2: ComplementaryTriple) -> ComplementaryTriple:
     _check_same(c1, c2)
-    u1, l1, r1 = _carrier_bits(c1)
-    u2, l2, r2 = _carrier_bits(c2)
+    u1, l1, r1, _ = c1.summary
+    u2, l2, r2, _ = c2.summary
     # star_left(p, q) reversed is star_right(q reversed, p reversed).
     lefts = star_product_bits(u2, l2, u1, l1)
     rights = star_product_bits(u1, r1, u2, r2)
@@ -301,15 +347,11 @@ def triple_mul(c1: ComplementaryTriple, c2: ComplementaryTriple) -> Complementar
 
 def triple_add(c1: ComplementaryTriple, c2: ComplementaryTriple) -> ComplementaryTriple:
     _check_same(c1, c2)
-    m1, m2 = c1.alphabet_masks(), c2.alphabet_masks()
-    stragglers = {
-        t for t in c1.d if all(b & ~t.alpha for b in m2)
-    } | {
-        u for u in c2.d if all(b & ~u.alpha for b in m1)
-    }
-    u1, l1, r1 = _carrier_bits(c1)
-    u2, l2, r2 = _carrier_bits(c2)
-    return _close_up(c1.n, u1 or u2, l1 | l2, r1 | r2, stragglers, c1.odd ^ c2.odd)
+    u1, l1, r1, _ = c1.summary
+    u2, l2, r2, _ = c2.summary
+    return _close_up(
+        c1.n, u1 or u2, l1 | l2, r1 | r2, _sum_stragglers(c1, c2), c1.odd ^ c2.odd
+    )
 
 
 # eval/eq answer within 1 GiB and 60 s (FORMATS.md) up to this many
@@ -466,15 +508,10 @@ def _dominated_count(left: SideOptions, right: SideOptions, unit: bool) -> int:
     configuration both sides admit (those of _shared_configs)."""
     if unit:
         return 1
-    # The loop of _shared_configs, inlined: the census makes 18 030 of these
-    # calls at n = 3, and summing over the generator costs a fifth of its time.
-    rights, weights = right.rights, right.weights
-    total = 2
-    for masks, las in left.lefts.items():
-        ras = rights.get(masks)
-        if ras:
-            total += len(las) * len(ras) * weights[masks]
-    return total
+    weights = right.weights
+    return 2 + sum(
+        len(las) * len(ras) * weights[masks] for masks, las, ras in _shared_configs(left, right)
+    )
 
 
 def count_dominated(s: RepleteSubsemigroup) -> int:
@@ -578,27 +615,36 @@ def _histogram_sum(n: int, term) -> int:
 def count_free_mirig(n: int, strategy: str = "grouped") -> int:
     """Exact size of the free mirig on n generators.
 
-    "triples" sums dominated-set counts over all replete subsemigroups,
-    each counted from its (left system, right system, unit) without being
-    built;
+    "triples" sums dominated-set counts over all replete subsemigroups
+    without building them: the S on a family are its (left system, right
+    system, unit) triples, and their sum is read off each right system's
+    straggler options;
     "grouped" groups triples by the replete subsemigroup their carrier
     generates, which only needs per-layer path multiplicities, and so is
     counted from the per-family histograms without listing any S.
     """
     check_n(n, MAX_REPLETE_N, "free mirig census")
     if strategy == "triples":
-        # S by S without building them: the S on a family are its (left
-        # system, right system, unit) triples, and each right system's
-        # straggler options are read once, a left system's from the right
-        # system it mirrors.
+        # A family's R right systems make R**2 (left, right) pairs, each an
+        # S with the trivial tree, which dominates 1 set and doubles the
+        # parities, and one without, which dominates 2 sets plus, for each
+        # configuration masks, w(masks) * len(lefts[masks]) *
+        # len(rights[masks]) (see _dominated_count).  The sum is bilinear,
+        # and a system's lefts[masks] is as long as its rights[masks], so
+        # the family adds 2**|F| * (4 * R**2 + sum of w(masks) *
+        # A(masks)**2), A(masks) being the total of len(rights[masks]).
         total = 0
         for family, systems in right_systems_by_family(n):
-            options = [_side_configs(n, bits) for _, bits in systems]
-            parities = 2 ** len(family)
-            for left in options:
-                for right in options:
-                    for unit in (False, True):
-                        total += _dominated_count(left, right, unit) * (parities << unit)
+            r = len(systems)
+            counts: dict = {}  # masks -> A(masks)
+            weights: dict = {}
+            for _, bits in systems:
+                side = _side_configs(n, bits)
+                for masks, assigns in side.rights.items():
+                    counts[masks] = counts.get(masks, 0) + len(assigns)
+                    weights[masks] = side.weights[masks]
+            paired = sum(weights[masks] * a * a for masks, a in counts.items())
+            total += 2 ** len(family) * (4 * r * r + paired)
         return total
     if strategy != "grouped":
         raise ValueError("strategy must be 'triples' or 'grouped'")

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -22,6 +23,8 @@ from mirigs.monoid import (
 from mirigs.quotients import MAX_CAMPION_MONOID_SIZE
 from mirigs.subsemigroups import RepleteSubsemigroup
 from mirigs.triples import MAX_EVAL_N
+
+from conftest import random_expression
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 CENSUS_SCRIPT = SRC.parent / "scripts" / "census.py"
@@ -112,6 +115,35 @@ class TestExpressionCommands:
     def test_parse_error_exits_2(self, capsys):
         code, _, err = run(capsys, "eval", "--n", "2", "a+")
         assert code == 2 and "byte 2" in err
+
+    @pytest.mark.parametrize("text,offset", [("\u00b2", 0), ("a+\u0663", 2)])
+    def test_non_ascii_digit_exits_2(self, capsys, text, offset):
+        code, out, err = run(capsys, "eval", "--n", "2", text)
+        assert code == 2 and not out and f"byte {offset}" in err
+
+    def test_constants_past_the_int_digit_limit(self, capsys):
+        odd, even = "9" * 5000, "0" * 5000 + "1" + "0" * 5000
+        code, out, _ = run(capsys, "eq", "--n", "2", f"a*{odd}+b", "3*a+b")
+        assert code == 0 and out.strip() == "equal"
+        code, out, _ = run(capsys, "eq", "--n", "2", f"{even}*a", "2*a")
+        assert code == 0 and out.strip() == "equal"
+        code, out, _ = run(capsys, "eq", "--n", "2", f"{even}*a", "3*a")
+        assert code == 0 and out.strip() == "different"
+
+    def test_eval_json_pinned_past_the_tree_reference(self, capsys):
+        # The tree reference stops at n = 3, so eval's output on seeded
+        # expressions at four to six generators is pinned instead.
+        rng = random.Random(46)
+        digest = hashlib.sha256()
+        for n in (4, 5, 6):
+            for _ in range(40):
+                code, out, _ = run(capsys, "eval", "--n", str(n), "--format", "json",
+                                   random_expression(rng, n))
+                assert code == 0
+                digest.update(out.encode())
+        assert digest.hexdigest() == (
+            "c7a4d4ca6ffbf9292deb0d03f059249ce134d6f3898af054dbbc5d1a09abee13"
+        )
 
     def test_stdin_payload(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("a+b\n"))

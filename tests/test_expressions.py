@@ -32,6 +32,17 @@ def test_numbers_and_whitespace():
     assert parse_expression("1+1+1+1") == Add(Add(Add(Const(1), Const(1)), Const(1)), Const(1))
 
 
+def test_long_constants_read_as_their_class():
+    # Only 0, 1 and the parity of a larger constant matter; past Python's
+    # 4300-digit limit on int() the class is read off the digits.
+    long = 5000
+    assert parse_expression("0" * long) == Const(0)
+    assert parse_expression("0" * long + "1") == Const(1)
+    assert parse_expression("1" + "0" * long) == Const(2)
+    assert parse_expression("0" * long + "9" * long) == Const(3)
+    assert parse_expression("12" * 320) == Const(int("12" * 320))
+
+
 def test_max_generator():
     assert max_generator(parse_expression("2")) == -1
     assert max_generator(parse_expression("a*(b+c)")) == 2
@@ -39,7 +50,10 @@ def test_max_generator():
 
 @pytest.mark.parametrize(
     "text,offset",
-    [("a+", 2), ("", 0), ("a b", 2), ("(a", 2), ("a+*b", 2), ("A", 0)],
+    [
+        ("a+", 2), ("", 0), ("a b", 2), ("(a", 2), ("a+*b", 2), ("A", 0),
+        ("\u00b2", 0), ("a+\u0663", 2), ("1\u0663", 1),
+    ],
 )
 def test_errors_carry_offsets(text, offset):
     with pytest.raises(ParseError) as info:

@@ -97,19 +97,16 @@ class TestWords:
 class TestGrf:
     def test_bcac(self):
         d = grf(w("bcac"))
-        assert (d.p, d.a, d.b, d.q) == (w("bc"), 0, 1, w("cac"))
+        assert type(d) is tuple and d == (w("bc"), 0, 1, w("cac"))
 
     def test_two_letter(self):
-        d = grf(w("ab"))
-        assert (d.p, d.a, d.b, d.q) == (w("a"), 1, 0, w("b"))
+        assert grf(w("ab")) == (w("a"), 1, 0, w("b"))
 
     def test_aba(self):
-        d = grf(w("aba"))
-        assert (d.p, d.a, d.b, d.q) == (w("a"), 1, 1, w("a"))
+        assert grf(w("aba")) == (w("a"), 1, 1, w("a"))
 
     def test_single_letter(self):
-        d = grf(w("a"))
-        assert (d.p, d.a, d.b, d.q) == ((), 0, 0, ())
+        assert grf(w("a")) == ((), 0, 0, ())
 
     def test_empty_word_rejected(self):
         with pytest.raises(ValueError):
@@ -132,20 +129,20 @@ class TestGrf:
         # w is equivalent to p a b q
         if not word:
             return
-        d = grf(word)
-        assert words_equivalent(word, d.p + (d.a, d.b) + d.q)
+        p, a, b, q = grf(word)
+        assert words_equivalent(word, p + (a, b) + q)
 
     @given(words(3))
     def test_maximality(self, word):
         if not word:
             return
-        d = grf(word)
+        p, a, b, q = grf(word)
         total = word_alphabet(word)
-        assert word_alphabet(d.p) == total & ~(1 << d.a)
-        assert word_alphabet(d.q) == total & ~(1 << d.b)
+        assert word_alphabet(p) == total & ~(1 << a)
+        assert word_alphabet(q) == total & ~(1 << b)
         # maximality: one more letter on either side completes the alphabet
-        assert word_alphabet(word[: len(d.p) + 1]) == total
-        assert word_alphabet(word[len(word) - len(d.q) - 1 :]) == total
+        assert word_alphabet(word[: len(p) + 1]) == total
+        assert word_alphabet(word[len(word) - len(q) - 1 :]) == total
 
 
 class TestTrees:

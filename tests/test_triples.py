@@ -52,7 +52,7 @@ from mirigs.triples import (
     validate_triple,
     zero,
 )
-from conftest import t
+from conftest import random_expression, t
 
 A, B = gen_tree(0), gen_tree(1)
 FOUR = frozenset({t("ab"), t("ba"), t("aba"), t("bab")})
@@ -244,6 +244,32 @@ class TestTreeReference:
             x, y = rng.choice(pool), rng.choice(pool)
             assert triple_add(x, y) == ref.triple_add(x, y)
             assert triple_mul(x, y) == ref.triple_mul(x, y)
+
+
+class TestStragglerRules:
+    """The carrier summary and the alphabet-bitset straggler rules against
+    the set-based ones of tests/tree_reference.py."""
+
+    @staticmethod
+    def check(x, y):
+        assert x.summary == ref.carrier_summary(x)
+        assert triples._sum_stragglers(x, y) == ref.sum_stragglers_by_alphabets(x, y)
+        assert triples._product_stragglers(x, y) == ref.product_stragglers_by_alphabets(x, y)
+
+    def test_n3_sampled_pairs(self):
+        pool = sample_triples(3, 60, seed=2)
+        rng = random.Random(2)
+        for _ in range(400):
+            self.check(rng.choice(pool), rng.choice(pool))
+
+    def test_n4_expressions(self):
+        # The tree reference does not reach n = 4, but these rules read
+        # only alphabets and paths.
+        rng = random.Random(4)
+        pool = [gen(i, 4) for i in range(4)] + [constant(k, 4) for k in range(4)]
+        pool += [eval_expression(random_expression(rng, 4), 4) for _ in range(60)]
+        for _ in range(1000):
+            self.check(rng.choice(pool), rng.choice(pool))
 
 
 @pytest.fixture(scope="module")

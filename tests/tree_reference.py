@@ -31,6 +31,15 @@ adds a path, where `mirigs.subsemigroups.close_bits` meets each new path
 once with the paths before it under both rules, as bitsets over one
 numbering of the paths, reading star products from a table.
 
+`carrier_summary`, `sum_stragglers_by_alphabets` and
+`product_stragglers_by_alphabets` read a triple's carrier from its path
+and alphabet sets: a straggler of a sum is one whose alphabet holds no
+alphabet of the other summand, and one of a product is one whose alphabet
+holds the union of exactly one pair in the list of all unions of two
+carrier alphabets, where `mirigs.triples` reads the carrier from one
+cached int summary and counts the alphabets below a union in a subset
+table.
+
 `_d_configs` works out each S's straggler options from scratch, testing
 every star product for membership in a set of paths, where
 `mirigs.triples` shares each side's options between the S with the same
@@ -46,10 +55,12 @@ import math
 from mirigs.errors import ParseError
 from mirigs.monoid import (
     LEAF,
+    lmp,
     mask_members,
     mask_of,
     mask_size,
     node,
+    rmp,
     star_left,
     star_right,
     tree_product,
@@ -58,6 +69,7 @@ from mirigs.monoid import (
 from mirigs.subsemigroups import (
     RepleteSubsemigroup,
     alphabet_family,
+    bits_of,
     close_under_product,
     closed_path_sets,
     enumerate_replete,
@@ -250,6 +262,39 @@ def triple_add(c1: ComplementaryTriple, c2: ComplementaryTriple) -> Complementar
     }
     s_trees = replete_closure_trees(close_under_product(left | right) - stragglers)
     return _triple(c1.n, s_trees, stragglers, c1.odd ^ c2.odd)
+
+
+def carrier_summary(c: ComplementaryTriple) -> tuple[bool, int, int, int]:
+    lefts, rights = c.s.paths()
+    for t in c.d:
+        lefts |= {lmp(t)}
+        rights |= {rmp(t)}
+    return (
+        () in rights,
+        bits_of(p[::-1] for p in lefts if p),
+        bits_of(p for p in rights if p),
+        sum(1 << a for a in c.alphabet_masks()),
+    )
+
+
+def sum_stragglers_by_alphabets(c1, c2):
+    m1, m2 = c1.alphabet_masks(), c2.alphabet_masks()
+    return {
+        t for t in c1.d if all(b & ~t.alpha for b in m2)
+    } | {
+        u for u in c2.d if all(b & ~u.alpha for b in m1)
+    }
+
+
+def product_stragglers_by_alphabets(c1, c2):
+    joint = [a1 | a2 for a1 in c1.alphabet_masks() for a2 in c2.alphabet_masks()]
+    out = set()
+    for t in c1.d:
+        for u in c2.d:
+            a = t.alpha | u.alpha
+            if sum(1 for b in joint if not b & ~a) == 1:
+                out.add(tree_product(t, u))
+    return out
 
 
 def _family_masks(s):
