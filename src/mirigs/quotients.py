@@ -20,6 +20,17 @@ def reduce_nat(k: int, m: int, n: int) -> int:
     return m + (k - m) % n
 
 
+# Python converts a numeral of this many digits to an int under any setting
+# of its digit limit (sys.set_int_max_str_digits), so longer numerals are
+# read in blocks of this many.
+NUMERAL_BLOCK = 640
+
+# A coefficient in the naturals is kept exactly, and Python's default digit
+# limit for converting an int to text or back is this; a longer numeral is
+# refused.
+MAX_NATURAL_DIGITS = 4300
+
+
 class CoefficientRig:
     """Thicket coefficient arithmetic: N_{m,n}, or the naturals when unbounded."""
 
@@ -30,6 +41,30 @@ class CoefficientRig:
         if self.char is None:
             return k
         return reduce_nat(k, *self.char)
+
+    def numeral_value(self, digits: str) -> int:
+        """A natural naming the same element as a decimal numeral (ASCII
+        digits), for add and reduce to reduce: the numeral's own value, or,
+        past NUMERAL_BLOCK digits in N_{m,n}, its reduction, found block by
+        block modulo n without converting it whole.  In the naturals a
+        numeral of more than MAX_NATURAL_DIGITS digits, leading zeros
+        aside, is a CapacityError."""
+        if len(digits) > NUMERAL_BLOCK:
+            digits = digits.lstrip("0") or "0"
+        if self.char is None and len(digits) > MAX_NATURAL_DIGITS:
+            raise CapacityError(
+                f"coefficients in the naturals are supported up to {MAX_NATURAL_DIGITS} digits"
+            )
+        if self.char is None or len(digits) <= NUMERAL_BLOCK:
+            return int(digits)
+        # The numeral k exceeds m + n - 1 (m and n being far shorter than a
+        # block), so it reduces to m + (k - m) mod n.
+        m, n = self.char
+        k = 0
+        for i in range(0, len(digits), NUMERAL_BLOCK):
+            block = digits[i : i + NUMERAL_BLOCK]
+            k = (k * pow(10, len(block), n) + int(block)) % n
+        return m + (k - m) % n
 
     def add(self, x: int, y: int) -> int:
         return self.reduce(x + y)

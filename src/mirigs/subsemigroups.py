@@ -130,11 +130,12 @@ def close_left(paths) -> frozenset:
 # One numbering gives every nonempty path a number, so that a set of paths
 # is an int, and one table gives star_right of every two numbered paths.
 # The closures of path systems (close_bits, behind close_path_system and
-# the triple arithmetic) and the census checks (path_bits, paths_beside,
-# closed_path_set_bits and the triples census's straggler options) all read
-# these two.  The empty path, the trivial tree's, has no number: star_right
-# with it gives the other path back, so it never yields a new path, and
-# callers carry it as a flag beside the bits.
+# the triple arithmetic) and the census checks (paths_beside,
+# closed_path_set_bits and the triples census's straggler options, through
+# the pair table star_pair_bits) read these two, by path number.  The empty
+# path, the trivial tree's, has no number: star_right with it gives the
+# other path back, so it never yields a new path, and callers carry it as a
+# flag beside the bits.
 
 
 class PathNumbering:
@@ -302,62 +303,60 @@ def star_product_bits(unit1: bool, bits1: int, unit2: bool, bits2: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def path_bits() -> dict[tuple, int]:
-    """The bit of every nonempty path on the first MAX_REPLETE_N letters:
-    the numbering's prefix on those letters."""
+def star_pair_bits() -> tuple[tuple[int, ...], ...]:
+    """The pair table of the census checks, indexed by path number on the
+    first MAX_REPLETE_N letters (15 paths on 3): entry [i][j] holds the bits
+    of star_right(p, q) and star_right(q, p), p and q numbered i and j,
+    read from the rows."""
     num = path_numbering(MAX_REPLETE_N)
     count = num.layer_start[1 << MAX_REPLETE_N]
-    return dict(zip(num.paths[:count], num.bit[:count]))
+    rows = [num.row(i) for i in range(count)]
+    return tuple(tuple(rows[i][j] | rows[j][i] for j in range(count)) for i in range(count))
 
 
-@lru_cache(maxsize=None)
-def _star_pair_bits() -> dict[tuple, dict[tuple, int]]:
-    """For every two paths rho and sigma that path_bits numbers, the bits of
-    star_right(rho, sigma) and star_right(sigma, rho), read from the rows."""
-    num = path_numbering(MAX_REPLETE_N)
-    paths = list(path_bits())
-    rows = [num.row(i) for i in range(len(paths))]
-    return {
-        rho: {sigma: rows[i][j] | rows[j][i] for j, sigma in enumerate(paths)}
-        for i, rho in enumerate(paths)
-    }
-
-
-def paths_beside(candidates, paths, within: int) -> list:
-    """The candidate paths, in their order, whose star_right products with
-    each of paths, in either order, are all in within (bits).  Left paths
-    are checked through their mirror images: star_left(p, q) reversed is
-    star_right(q reversed, p reversed)."""
-    pair_bits = _star_pair_bits()
+def paths_beside(candidates, paths, within: int) -> list[int]:
+    """The candidate path numbers, in their order, whose star_right
+    products with each of paths (numbers), in either order, are all in
+    within (bits).  Left paths are checked through their mirror images:
+    star_left(p, q) reversed is star_right(q reversed, p reversed)."""
+    pair = star_pair_bits()
     outside = ~within
     out = []
-    for rho in candidates:
-        row = pair_bits[rho]
+    for i in candidates:
+        row = pair[i]
         products = 0
-        for sigma in paths:
-            products |= row[sigma]
+        for j in paths:
+            products |= row[j]
         if not products & outside:
-            out.append(rho)
+            out.append(i)
     return out
 
 
 @lru_cache(maxsize=None)
 def closed_path_sets(mask: int) -> tuple[frozenset, ...]:
-    """All inhabited within-layer-closed sets of right paths on an alphabet.
+    """All inhabited within-layer-closed sets of right paths on an alphabet,
+    smaller sets first, each size in the order of its sorted paths.
 
+    Generated by closure: every closed set is reached from the closure of
+    one of its paths by closing it with one more of its paths at a time.
     Small alphabets only; the height-3 case recovers the 22 closed sets.
     """
-    members = tuple(mask_members(mask))
-    if len(members) > 3:
+    if mask_size(mask) > 3:
         raise CapacityError("path-set catalogue supported for alphabets of size <= 3")
-    perms = list(itertools.permutations(members))
-    bits = [bits_of([p]) for p in perms]
-    out = []
-    for r in range(1, len(perms) + 1):
-        for combo in itertools.combinations(range(len(perms)), r):
-            b = sum(bits[k] for k in combo)
-            if close_bits(b, replete=True) == b:
-                out.append(frozenset(perms[k] for k in combo))
+    num = path_numbering(mask.bit_length())
+    layer = range(num.layer_start[mask], num.layer_start[mask + 1])
+    bit = num.bit
+    seen = {close_bits(bit[i], replete=True) for i in layer}
+    frontier = list(seen)
+    while frontier:
+        closed = frontier.pop()
+        for i in layer:
+            if not closed & bit[i]:
+                grown = close_bits(closed | bit[i], replete=True)
+                if grown not in seen:
+                    seen.add(grown)
+                    frontier.append(grown)
+    out = [frozenset(num.paths[i] for i in bit_numbers(bits)) for bits in seen]
     return tuple(sorted(out, key=lambda s: (len(s), sorted(s))))
 
 
@@ -368,12 +367,17 @@ def closed_path_set_bits(mask: int) -> tuple[tuple[frozenset, int, int], ...]:
     star_right(t, p) is in the entry for every t in it.  These are the paths
     beside the entry, as star_right(p, t) is t."""
     check_n(mask.bit_length(), MAX_REPLETE_N, "path-set catalogue")
-    masks = path_numbering(MAX_REPLETE_N).masks
-    below = [p for p, a in zip(path_bits(), masks) if a & mask == a != mask]
+    num = path_numbering(MAX_REPLETE_N)
+    # A proper sub-alphabet is a smaller mask, so its paths number below mask's.
+    below = [i for i in range(num.layer_start[mask]) if not num.masks[i] & ~mask]
+    bit = num.bit
     out = []
     for target in closed_path_sets(mask):
         own = bits_of(target)
-        out.append((target, own, bits_of(paths_beside(below, target, own))))
+        admitted = 0
+        for i in paths_beside(below, bit_numbers(own), own):
+            admitted |= bit[i]
+        out.append((target, own, admitted))
     return tuple(out)
 
 
@@ -667,7 +671,7 @@ def union_closed_families(n: int) -> list[frozenset[int]]:
 def _right_systems(family: list[int]) -> Iterator[tuple[dict, int]]:
     """All assignments mask -> closed right path set over a union-closed family,
     given in ascending order, that are closed under cross-layer products,
-    each with the bits of all its paths (path_bits).
+    each with the bits of all its paths (bits_of).
 
     Backtracks over the layers in ascending mask order, so the systems come
     out in the order of itertools.product over the per-layer catalogues.

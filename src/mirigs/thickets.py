@@ -163,7 +163,9 @@ def render_thicket(f: Thicket) -> str:
 def parse_thicket(text: str, n: int, rig: CoefficientRig = N22) -> Thicket:
     """Parse the text format above.  Errors carry the byte offset, in the
     whole text, of the bad term (the end of its chunk when it is blank) or
-    of the bad character of its word."""
+    of the bad character of its word.  A coefficient of any length is
+    reduced into a bounded rig; in the naturals one past
+    MAX_NATURAL_DIGITS digits is a CapacityError."""
     coeffs: dict[Tree, int] = {}
     if text.strip() == "0":
         return Thicket(n, {}, rig)
@@ -180,6 +182,6 @@ def parse_thicket(text: str, n: int, rig: CoefficientRig = N22) -> Thicket:
             word_start = start + len(chunk) - len(word_text.lstrip())
             raise ParseError(exc.message, word_start + exc.offset) from None
         t = tree_of_word(w)
-        coeffs[t] = rig.add(coeffs.get(t, 0), int(k_text))
+        coeffs[t] = rig.add(coeffs.get(t, 0), rig.numeral_value(k_text))
         start += len(chunk) + 1
     return Thicket(n, coeffs, rig)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -25,7 +26,6 @@ from .monoid import (
     count_free_monoid,
     gen_tree,
     lmp,
-    mask_members,
     mask_size,
     node,
     parse_tree,
@@ -52,6 +52,7 @@ from .subsemigroups import (
     paths_beside,
     right_system_histograms,
     right_systems_by_family,
+    star_pair_bits,
     star_product_bits,
 )
 from .thickets import Thicket, apparity_by_alphabet
@@ -395,41 +396,103 @@ def eval_expression(expr, n: int) -> ComplementaryTriple:
 # Enumeration of dominated straggler sets and of whole triples
 
 
-# Bound on the memo of straggler options, keyed on a side's path bits.  The
-# triples census reads each entry once per right system of a family, so it
-# does not lean on the memo.  count_dominated and enumerate_dominated, called
-# S by S in enumerate_replete's order, meet one family's S consecutively, and
-# each side of each S reads the entry of one of the family's R(fam) <= 36
-# right systems (n <= 3; a left system through its mirror image), so this
-# many entries catch their repeats.
+# Bound on the memo of straggler options, keyed on a side's path bits.
+# count_dominated and enumerate_dominated, called S by S in
+# enumerate_replete's order, meet one family's S consecutively, and each side
+# of each S reads the entry of one of the family's R(fam) <= 36 right systems
+# (n <= 3; a left system through its mirror image), so this many entries
+# catch their repeats.  The triples census does not read it: it counts the
+# assignments on path numbers (_assignment_counts).
 STRAGGLER_OPTIONS_MEMO = 128
 
 
-# One entry per union-closed family on at most MAX_REPLETE_N letters: the
-# straggler options of every right system on a family share its candidates.
+class FamilyStragglers(NamedTuple):
+    """The straggler alphabets a union-closed family admits, shared by
+    every right system on it.  A candidate is an alphabet outside the
+    family with no strict subset in it and whose union with each of its
+    alphabets is in it; a configuration is a set of pairwise incomparable
+    candidates whose pairwise unions are in the family, listed in the order
+    of itertools.combinations over the candidates, smaller ones first."""
+
+    numbers: tuple[range, ...]  # per candidate, the numbers of its paths
+    configs: tuple[tuple[int, ...], ...]  # per configuration, its candidates' indices
+    masks: tuple[tuple[int, ...], ...]  # per configuration, its alphabets
+    weights: tuple[int, ...]  # per configuration, its straggler choices per path assignment
+
+
+# One entry per union-closed family on at most MAX_REPLETE_N letters.
 @lru_cache(maxsize=None)
-def _d_mask_candidates(n: int, family: frozenset[int]) -> tuple[int, ...]:
-    out = []
-    for a in range(1, 1 << n):
-        if a in family:
-            continue
-        if any(b & a == b for b in family if b != a):
-            continue  # a strict subset is present, so a could not be minimal
-        if any(a | b not in family for b in family):
-            continue  # some product would land on a missing alphabet
-        out.append(a)
-    return tuple(out)
+def _family_stragglers(n: int, family: frozenset[int]) -> FamilyStragglers:
+    candidates = [
+        a
+        for a in range(1, 1 << n)
+        if a not in family
+        and not any(b & a == b for b in family)
+        and all(a | b in family for b in family)
+    ]
+    start = path_numbering(MAX_REPLETE_N).layer_start
+    configs = [
+        config
+        for r in range(1, len(candidates) + 1)
+        for config in itertools.combinations(range(len(candidates)), r)
+        if all(
+            (a & b) not in (a, b) and (a | b) in family
+            for a, b in itertools.combinations([candidates[k] for k in config], 2)
+        )
+    ]
+    masks = [tuple(candidates[k] for k in config) for config in configs]
+    return FamilyStragglers(
+        tuple(range(start[a], start[a + 1]) for a in candidates),
+        tuple(configs),
+        tuple(masks),
+        # A straggler on alphabet a with given extremal paths is one of
+        # path_class_size(|a|) left branches times as many right ones.
+        tuple(math.prod(path_class_size(mask_size(a)) ** 2 for a in m) for m in masks),
+    )
 
 
-def _joint_assignments(bits: int, options) -> tuple[tuple, ...]:
-    """Path tuples, one option per straggler alphabet and in its order,
-    whose pairwise star products stay among the side's paths (bits), in the
-    order of itertools.product: each path is one of its options beside the
-    paths chosen before it."""
+def _straggler_options(stragglers: FamilyStragglers, bits: int) -> list[list[int]]:
+    """Per candidate, the numbers of its paths whose star products with the
+    right system's paths (bits), in either order, stay among them."""
+    numbers = bit_numbers(bits)
+    return [paths_beside(candidate, numbers, bits) for candidate in stragglers.numbers]
+
+
+def _joint_assignments(bits: int, options) -> list[tuple[int, ...]]:
+    """Path number tuples, one option per straggler alphabet and in its
+    order, whose pairwise star products stay among the side's paths (bits),
+    in the order of itertools.product: each path is one of its options
+    beside the paths chosen before it."""
     out = [()]
     for opts in options:
-        out = [c + (rho,) for c in out for rho in paths_beside(opts, c, bits)]
-    return tuple(out)
+        out = [c + (i,) for c in out for i in paths_beside(opts, c, bits)]
+    return out
+
+
+def _joint_count(outside: int, options) -> int:
+    """len(_joint_assignments(bits, options)), outside being ~bits, with no
+    assignment built: each option of the first alphabet, times the joint
+    count of the rest, each cut to the options beside it."""
+    first, *rest = options
+    if not rest:
+        return len(first)
+    if not all(rest):
+        return 0
+    pair = star_pair_bits()
+    total = 0
+    for i in first:
+        row = pair[i]
+        total += _joint_count(outside, [[j for j in opts if not row[j] & outside] for opts in rest])
+    return total
+
+
+def _assignment_counts(stragglers: FamilyStragglers, bits: int) -> list[int]:
+    """Per configuration of the family, the number of joint path
+    assignments of the right system with these bits: the census's count of
+    len(_side_configs(n, bits).rights[masks]), from path numbers alone."""
+    options = _straggler_options(stragglers, bits)
+    outside = ~bits
+    return [_joint_count(outside, [options[k] for k in config]) for config in stragglers.configs]
 
 
 class SideOptions(NamedTuple):
@@ -445,35 +508,23 @@ class SideOptions(NamedTuple):
 def _side_configs(n: int, bits: int) -> SideOptions:
     """For the right path system with these path bits, map each straggler
     alphabet configuration masks to its joint path assignments, when there
-    are any, in the order of itertools.combinations over the candidate
-    alphabets, smaller configurations first.  lefts maps the same
-    configurations for the mirror-image left system, each assignment
-    reversed, re-sorted into the order of itertools.product.  A straggler
-    on alphabet a with given extremal paths is one of path_class_size(|a|)
-    left branches times as many right ones, hence the weights.  Shared by
-    every S with this system on either side; do not mutate."""
+    are any, in the order of the family's configurations
+    (FamilyStragglers).  lefts maps the same configurations for the
+    mirror-image left system, each assignment reversed, re-sorted into the
+    order of itertools.product.  Read by count_dominated,
+    enumerate_dominated and so enumerate_triples, and shared by every S with
+    this system on either side; do not mutate."""
     num = path_numbering(MAX_REPLETE_N)
-    numbers = bit_numbers(bits)
-    paths = [num.paths[i] for i in numbers]
-    family = frozenset(num.masks[i] for i in numbers)
-    options = {
-        a: paths_beside(itertools.permutations(mask_members(a)), paths, bits)
-        for a in _d_mask_candidates(n, family)
-    }
-    candidates = [a for a, opts in options.items() if opts]
+    stragglers = _family_stragglers(n, frozenset(num.masks[i] for i in bit_numbers(bits)))
+    options = _straggler_options(stragglers, bits)
+    paths = num.paths
     lefts, rights, weights = {}, {}, {}
-    for r in range(1, len(candidates) + 1):
-        for masks in itertools.combinations(candidates, r):
-            if any(
-                (a & b) in (a, b) or (a | b) not in family
-                for a, b in itertools.combinations(masks, 2)
-            ):
-                continue
-            assigns = _joint_assignments(bits, [options[a] for a in masks])
-            if assigns:
-                rights[masks] = assigns
-                lefts[masks] = tuple(sorted(tuple(p[::-1] for p in combo) for combo in assigns))
-                weights[masks] = math.prod(path_class_size(mask_size(a)) ** 2 for a in masks)
+    for config, masks, weight in zip(stragglers.configs, stragglers.masks, stragglers.weights):
+        assigns = _joint_assignments(bits, [options[k] for k in config])
+        if assigns:
+            rights[masks] = tuple(tuple(paths[i] for i in combo) for combo in assigns)
+            lefts[masks] = tuple(sorted(tuple(p[::-1] for p in combo) for combo in rights[masks]))
+            weights[masks] = weight
     return SideOptions(lefts, rights, weights)
 
 
@@ -632,19 +683,16 @@ def count_free_mirig(n: int, strategy: str = "grouped") -> int:
         # len(rights[masks]) (see _dominated_count).  The sum is bilinear,
         # and a system's lefts[masks] is as long as its rights[masks], so
         # the family adds 2**|F| * (4 * R**2 + sum of w(masks) *
-        # A(masks)**2), A(masks) being the total of len(rights[masks]).
+        # A(masks)**2), A(masks) being the total of len(rights[masks]),
+        # which _assignment_counts counts without listing the assignments.
         total = 0
         for family, systems in right_systems_by_family(n):
-            r = len(systems)
-            counts: dict = {}  # masks -> A(masks)
-            weights: dict = {}
+            stragglers = _family_stragglers(n, frozenset(family))
+            counts = [0] * len(stragglers.configs)  # A(masks), per configuration
             for _, bits in systems:
-                side = _side_configs(n, bits)
-                for masks, assigns in side.rights.items():
-                    counts[masks] = counts.get(masks, 0) + len(assigns)
-                    weights[masks] = side.weights[masks]
-            paired = sum(weights[masks] * a * a for masks, a in counts.items())
-            total += 2 ** len(family) * (4 * r * r + paired)
+                counts = list(map(operator.add, counts, _assignment_counts(stragglers, bits)))
+            paired = sum(w * a * a for w, a in zip(stragglers.weights, counts))
+            total += 2 ** len(family) * (4 * len(systems) ** 2 + paired)
         return total
     if strategy != "grouped":
         raise ValueError("strategy must be 'triples' or 'grouped'")

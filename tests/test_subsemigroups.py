@@ -16,16 +16,17 @@ from mirigs.monoid import (
     lmp,
     mask_members,
     mask_of,
+    mask_size,
     node,
     rmp,
     star_right,
     tree_product,
 )
 from mirigs.subsemigroups import (
+    MAX_REPLETE_N,
     PathNumbering,
     RepleteSubsemigroup,
     _right_systems,
-    _star_pair_bits,
     alphabet_family,
     bits_of,
     close_bits,
@@ -42,12 +43,12 @@ from mirigs.subsemigroups import (
     is_replete,
     is_replete_definitional,
     is_subsemigroup,
-    path_bits,
     path_class,
     path_numbering,
     path_class_size,
     replete_closure,
     replete_closure_trees,
+    star_pair_bits,
     star_product_bits,
     union_closed_families,
     xy_factor,
@@ -308,8 +309,15 @@ class TestPathEngine:
             assert num.layer_start[mask] == layer[0]
 
     def test_path_bits_are_the_three_letter_prefix(self):
-        num = PathNumbering().grow(3)
-        assert path_bits() == dict(zip(num.paths, num.bit))
+        # The census reads the shared numbering's prefix on MAX_REPLETE_N
+        # letters, however far arithmetic has grown it, through the pair
+        # table, one row and one column per path of that prefix.
+        num = PathNumbering().grow(MAX_REPLETE_N)
+        shared = path_numbering(MAX_REPLETE_N + 1)
+        count = len(star_pair_bits())
+        assert count == len(num.paths) == shared.layer_start[1 << MAX_REPLETE_N]
+        assert shared.paths[:count] == num.paths
+        assert shared.bit[:count] == num.bit
 
     def test_rows_match_star_right(self):
         num = PathNumbering().grow(4)
@@ -320,13 +328,15 @@ class TestPathEngine:
                 assert product == 1 << num.index[star_right(p, q)], (p, q)
 
     def test_star_pair_bits_match_star_right(self):
-        bits = path_bits()
-        table = _star_pair_bits()
-        assert list(table) == list(bits)
-        for rho, row in table.items():
-            assert list(row) == list(bits)
-            for sigma, products in row.items():
-                assert products == bits[star_right(rho, sigma)] | bits[star_right(sigma, rho)]
+        # Every pair of the 15 paths on 3 letters, by number.
+        num = PathNumbering().grow(3)
+        table = star_pair_bits()
+        assert len(table) == len(num.paths) == 15
+        for rho, row in zip(num.paths, table):
+            assert len(row) == 15
+            for sigma, products in zip(num.paths, row):
+                expected = [star_right(rho, sigma), star_right(sigma, rho)]
+                assert products == bits_of(expected), (rho, sigma)
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_star_product_bits(self, n):
@@ -431,15 +441,18 @@ class TestPathClasses:
         assert len(closed_path_sets(0b1)) == 1
 
     def test_path_bits_number_every_short_path_once(self):
-        bits = path_bits()
-        assert len(bits) == 15  # 3 + 6 + 6 paths on 1, 2 and 3 of 3 letters
-        assert sorted(bits.values()) == [1 << i for i in range(15)]
-        assert list(bits)[:4] == [(0,), (1,), (0, 1), (1, 0)]
+        num = path_numbering(3)
+        count = num.layer_start[1 << 3]
+        assert count == 15  # 3 + 6 + 6 paths on 1, 2 and 3 of 3 letters
+        short = [p for r in range(1, 4) for p in itertools.permutations(range(3), r)]
+        assert sorted(num.paths[:count]) == sorted(short)
+        assert num.bit[:count] == [1 << i for i in range(15)]
+        assert [bits_of([p]) for p in num.paths[:count]] == num.bit[:count]
+        assert num.paths[:4] == [(0,), (1,), (0, 1), (1, 0)]
 
     def test_catalogue_bits_match_star_checks(self):
         # Per catalogue entry, its own bits and, per path p on a proper
         # sub-alphabet, whether every star_right(t, p) lands in the entry.
-        bits = path_bits()
         for mask in range(1, 8):
             below = [
                 p
@@ -453,8 +466,20 @@ class TestPathClasses:
                 assert own == bits_of(target)
                 for p in below:
                     expected = all(star_right(t, p) in target for t in target)
-                    assert bool(admitted & bits[p]) == expected, (mask, sorted(target), p)
+                    assert bool(admitted & bits_of([p])) == expected, (mask, sorted(target), p)
                 assert not admitted & ~bits_of(below)
+
+    def test_catalogue_matches_subset_scan(self):
+        # Closure generation against the scan of every subset of the
+        # layer's paths, entry by entry and in order, on every alphabet of
+        # at most 3 of the first 4 letters.
+        for mask in range(1, 16):
+            if mask_size(mask) <= 3:
+                assert closed_path_sets(mask) == ref.closed_path_sets(mask), mask
+
+    def test_catalogue_capacity(self):
+        with pytest.raises(CapacityError):
+            closed_path_sets(0b1111)
 
     def test_catalogue_bits_capacity(self):
         with pytest.raises(CapacityError):

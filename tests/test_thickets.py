@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from mirigs.errors import ParseError
+from mirigs.errors import CapacityError, ParseError
 from mirigs.monoid import LEAF, all_trees, gen_tree
-from mirigs.quotients import N22, NATURALS
+from mirigs.quotients import N22, NATURALS, CoefficientRig
 from mirigs.thickets import (
     Thicket,
     apparity,
@@ -141,6 +141,31 @@ class TestTextFormat:
         with pytest.raises(ParseError) as info:
             parse_thicket(text, 2)
         assert info.value.offset == offset
+
+    @pytest.mark.parametrize("char", [(2, 2), (1, 1), (2, 1), (1, 2), (3, 5)])
+    def test_parse_reduces_long_coefficients(self, char):
+        # Past Python's int() digit limit, a coefficient is reduced into
+        # the bounded rig, here checked digit by digit.
+        m, n = char
+        rig = CoefficientRig(char)
+        for digits in ("1" * 5000, "9" * 641, "0" * 3000 + "7" * 900, "123456789" * 700):
+            residue = 0
+            for d in digits:
+                residue = (residue * 10 + int(d)) % n
+            expected = m + (residue - m) % n
+            if len(digits) <= 4300:
+                assert rig.reduce(int(digits)) == expected
+            f = parse_thicket(f"{digits}*a + 1*b", 2, rig)
+            assert f.coeff(t("a")) == expected, (char, len(digits))
+            assert f.coeff(t("b")) == 1
+
+    def test_parse_long_natural_coefficient(self):
+        digits = "1" * 4300
+        assert parse_thicket(digits + "*a", 1, NATURALS).coeff(t("a")) == int(digits)
+        with pytest.raises(CapacityError, match="4300 digits"):
+            parse_thicket("1" * 4301 + "*a", 1, NATURALS)
+        # Leading zeros do not count.
+        assert parse_thicket("0" * 5000 + "12*a", 1, NATURALS).coeff(t("a")) == 12
 
     def test_parse_accepts_blanks_around_tokens(self):
         assert parse_thicket("  2 * ab  +3*ba ", 2) == parse_thicket("2*ab + 3*ba", 2)

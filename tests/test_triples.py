@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import math
 import random
 
 import pytest
@@ -13,7 +14,6 @@ from mirigs.monoid import (
     MAX_TREE_NESTING,
     all_trees,
     gen_tree,
-    mask_members,
     star_left,
     star_right,
 )
@@ -23,9 +23,8 @@ from mirigs.subsemigroups import (
     _right_systems,
     bits_of,
     enumerate_replete,
-    paths_beside,
+    path_numbering,
     replete_closure_trees,
-    right_system_histograms,
     right_systems_by_family,
     union_closed_families,
 )
@@ -440,24 +439,58 @@ class TestDominatedReference:
 
     def test_straggler_options_match_reference(self):
         # Both sides of every n = 3 right system and of its mirror image:
-        # the bitset options against the membership tests of the reference,
-        # the left side's read through the mirror image of its paths.
+        # the options read from the pair table by path number against the
+        # membership tests of the reference, every candidate's entry, the
+        # left side's read through the mirror image of its paths.
+        num = path_numbering(3)
         checked = 0
         for fam in union_closed_families(3):
-            candidates = triples._d_mask_candidates(3, fam)
+            stragglers = triples._family_stragglers(3, fam)
+            candidates = [num.masks[numbers.start] for numbers in stragglers.numbers]
+            layers = tuple((mask, (), ()) for mask in sorted(fam))
+            assert candidates == ref._d_mask_candidates(RepleteSubsemigroup(3, False, layers))
             for system, _ in _right_systems(sorted(fam)):
                 mirrored = {m: frozenset(p[::-1] for p in ps) for m, ps in system.items()}
                 for paths_of, mirror_of in ((system, mirrored), (mirrored, system)):
                     paths = [p for ps in paths_of.values() for p in ps]
                     mirror = [p for ps in mirror_of.values() for p in ps]
-                    for a in candidates:
-                        rhos = list(itertools.permutations(mask_members(a)))
-                        right = paths_beside(rhos, paths, bits_of(paths))
-                        left = sorted(p[::-1] for p in paths_beside(rhos, mirror, bits_of(mirror)))
-                        assert right == ref._compatible_paths(star_right, paths_of, a)
-                        assert left == ref._compatible_paths(star_left, paths_of, a)
+                    rights = triples._straggler_options(stragglers, bits_of(paths))
+                    lefts = triples._straggler_options(stragglers, bits_of(mirror))
+                    for a, right, left in zip(candidates, rights, lefts):
+                        assert [num.paths[i] for i in right] == ref._compatible_paths(
+                            star_right, paths_of, a
+                        )
+                        assert sorted(num.paths[i][::-1] for i in left) == ref._compatible_paths(
+                            star_left, paths_of, a
+                        )
                 checked += 1
         assert checked == 573
+
+    def test_joint_count_matches_listing(self):
+        # On the n = 3 census's systems and their mirror images the pairwise
+        # check of joint assignments cuts none, so it is checked here on
+        # random path sets and options, against the star products of the
+        # paths themselves.
+        num = path_numbering(3)
+        rng = random.Random(16)
+        cut = 0
+        for _ in range(400):
+            bits = rng.getrandbits(15)
+            within = {num.paths[i] for i in range(15) if bits >> i & 1}
+            options = [rng.sample(range(15), rng.randint(0, 4)) for _ in range(rng.randint(1, 3))]
+            listed = triples._joint_assignments(bits, options)
+            expected = [
+                combo
+                for combo in itertools.product(*options)
+                if all(
+                    star_right(num.paths[i], num.paths[j]) in within
+                    for i, j in itertools.permutations(combo, 2)
+                )
+            ]
+            assert listed == expected, (bits, options)
+            assert triples._joint_count(~bits, options) == len(expected), (bits, options)
+            cut += len(expected) < math.prod(len(opts) for opts in options)
+        assert cut > 100
 
     def test_dominated_sets_capacity(self):
         wide = ((0b1111, ((0, 1, 2, 3),), ((0, 1, 2, 3),)),)
@@ -467,15 +500,28 @@ class TestDominatedReference:
             with pytest.raises(CapacityError, match="n <= 3"):
                 list(enumerate_dominated(s))
 
-    def test_census_shares_side_options(self):
-        # Each side's options are worked out once per right system of a
-        # family, not once per S: a left system reads the entry of the right
-        # system it mirrors.
-        triples._side_configs.cache_clear()
-        assert count_free_mirig(3, "triples") == 515861
-        systems = sum(sum(hist.values()) for _, hist in right_system_histograms(3))
+    def test_census_counts_match_side_options(self):
+        # The census counts each configuration's joint assignments on path
+        # numbers; per n = 3 right system and its mirror image, its counts
+        # are the lengths of the assignment lists that count_dominated and
+        # enumerate_dominated read, on both sides, and it counts no
+        # configuration those lists leave out.
+        systems = 0
+        for family, found in right_systems_by_family(3):
+            stragglers = triples._family_stragglers(3, frozenset(family))
+            for system, bits in found:
+                mirror = bits_of(p[::-1] for ps in system.values() for p in ps)
+                for side_bits in (bits, mirror):
+                    counts = triples._assignment_counts(stragglers, side_bits)
+                    counted = {m: c for m, c in zip(stragglers.masks, counts) if c}
+                    side = triples._side_configs(3, side_bits)
+                    assert counted == {m: len(a) for m, a in side.rights.items()}, system
+                    assert counted == {m: len(a) for m, a in side.lefts.items()}, system
+                    assert side.weights == {
+                        m: w for m, w in zip(stragglers.masks, stragglers.weights) if m in counted
+                    }
+                systems += 1
         assert systems == 573
-        assert triples._side_configs.cache_info().misses == systems
 
 
 class TestTriplesCensus:

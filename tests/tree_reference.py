@@ -40,6 +40,10 @@ carrier alphabets, where `mirigs.triples` reads the carrier from one
 cached int summary and counts the alphabets below a union in a subset
 table.
 
+`closed_path_sets` scans every subset of a layer's paths and keeps the
+closed ones, where `mirigs.subsemigroups.closed_path_sets` generates them
+by closing a closed set with one more path at a time.
+
 `_d_configs` works out each S's straggler options from scratch, testing
 every star product for membership in a set of paths, where
 `mirigs.triples` shares each side's options between the S with the same
@@ -49,10 +53,11 @@ All are slower than the library code, most of them exponentially, and are
 kept for tests only.
 """
 
+import functools
 import itertools
 import math
 
-from mirigs.errors import ParseError
+from mirigs.errors import CapacityError, ParseError
 from mirigs.monoid import (
     LEAF,
     lmp,
@@ -70,8 +75,8 @@ from mirigs.subsemigroups import (
     RepleteSubsemigroup,
     alphabet_family,
     bits_of,
+    close_bits,
     close_under_product,
-    closed_path_sets,
     enumerate_replete,
     layer_of,
     path_class_size,
@@ -299,6 +304,24 @@ def product_stragglers_by_alphabets(c1, c2):
 
 def _family_masks(s):
     return frozenset(mask for mask, _, _ in s.layers)
+
+
+@functools.lru_cache(maxsize=None)
+def closed_path_sets(mask: int) -> tuple[frozenset, ...]:
+    """All inhabited within-layer-closed sets of right paths on an alphabet
+    of at most 3 letters, by a scan of every subset of its paths."""
+    members = tuple(mask_members(mask))
+    if len(members) > 3:
+        raise CapacityError("path-set catalogue supported for alphabets of size <= 3")
+    perms = list(itertools.permutations(members))
+    bits = [bits_of([p]) for p in perms]
+    out = []
+    for r in range(1, len(perms) + 1):
+        for combo in itertools.combinations(range(len(perms)), r):
+            b = sum(bits[k] for k in combo)
+            if close_bits(b, replete=True) == b:
+                out.append(frozenset(perms[k] for k in combo))
+    return tuple(sorted(out, key=lambda s: (len(s), sorted(s))))
 
 
 def right_systems(family):
