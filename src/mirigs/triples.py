@@ -52,7 +52,6 @@ from .subsemigroups import (
     paths_beside,
     right_system_histograms,
     right_systems_by_family,
-    star_pair_bits,
     star_product_bits,
 )
 from .thickets import Thicket, apparity_by_alphabet
@@ -396,16 +395,6 @@ def eval_expression(expr, n: int) -> ComplementaryTriple:
 # Enumeration of dominated straggler sets and of whole triples
 
 
-# Bound on the memo of straggler options, keyed on a side's path bits.
-# count_dominated and enumerate_dominated, called S by S in
-# enumerate_replete's order, meet one family's S consecutively, and each side
-# of each S reads the entry of one of the family's R(fam) <= 36 right systems
-# (n <= 3; a left system through its mirror image), so this many entries
-# catch their repeats.  The triples census does not read it: it counts the
-# assignments on path numbers (_assignment_counts).
-STRAGGLER_OPTIONS_MEMO = 128
-
-
 class FamilyStragglers(NamedTuple):
     """The straggler alphabets a union-closed family admits, shared by
     every right system on it.  A candidate is an alphabet outside the
@@ -416,7 +405,6 @@ class FamilyStragglers(NamedTuple):
 
     numbers: tuple[range, ...]  # per candidate, the numbers of its paths
     configs: tuple[tuple[int, ...], ...]  # per configuration, its candidates' indices
-    masks: tuple[tuple[int, ...], ...]  # per configuration, its alphabets
     weights: tuple[int, ...]  # per configuration, its straggler choices per path assignment
 
 
@@ -440,14 +428,15 @@ def _family_stragglers(n: int, family: frozenset[int]) -> FamilyStragglers:
             for a, b in itertools.combinations([candidates[k] for k in config], 2)
         )
     ]
-    masks = [tuple(candidates[k] for k in config) for config in configs]
     return FamilyStragglers(
         tuple(range(start[a], start[a + 1]) for a in candidates),
         tuple(configs),
-        tuple(masks),
         # A straggler on alphabet a with given extremal paths is one of
         # path_class_size(|a|) left branches times as many right ones.
-        tuple(math.prod(path_class_size(mask_size(a)) ** 2 for a in m) for m in masks),
+        tuple(
+            math.prod(path_class_size(mask_size(candidates[k])) ** 2 for k in config)
+            for config in configs
+        ),
     )
 
 
@@ -458,118 +447,46 @@ def _straggler_options(stragglers: FamilyStragglers, bits: int) -> list[list[int
     return [paths_beside(candidate, numbers, bits) for candidate in stragglers.numbers]
 
 
-def _joint_assignments(bits: int, options) -> list[tuple[int, ...]]:
-    """Path number tuples, one option per straggler alphabet and in its
-    order, whose pairwise star products stay among the side's paths (bits),
-    in the order of itertools.product: each path is one of its options
-    beside the paths chosen before it."""
-    out = [()]
-    for opts in options:
-        out = [c + (i,) for c in out for i in paths_beside(opts, c, bits)]
-    return out
-
-
-def _joint_count(outside: int, options) -> int:
-    """len(_joint_assignments(bits, options)), outside being ~bits, with no
-    assignment built: each option of the first alphabet, times the joint
-    count of the rest, each cut to the options beside it."""
-    first, *rest = options
-    if not rest:
-        return len(first)
-    if not all(rest):
-        return 0
-    pair = star_pair_bits()
-    total = 0
-    for i in first:
-        row = pair[i]
-        total += _joint_count(outside, [[j for j in opts if not row[j] & outside] for opts in rest])
-    return total
-
-
-def _assignment_counts(stragglers: FamilyStragglers, bits: int) -> list[int]:
+# A configuration's joint path assignments are all the tuples of one option
+# per alphabet: the star products of two options stay in the system without
+# a check of their own.  Take options p on alphabet a and q on alphabet b of
+# one configuration.  a | b is in the family, and every layer of a system is
+# inhabited, so the system holds a path t on a | b.  As p is an option,
+# x = star_right(t, p) is in the system; as q is an option, so is
+# star_right(x, q), and that is star_right(p, q), since t's letters outside
+# a all lie in b.  The same holds with p and q swapped, and a left system is
+# checked as the mirror image of a right one, so the argument covers it too.
+def _assignment_counts(stragglers: FamilyStragglers, options) -> list[int]:
     """Per configuration of the family, the number of joint path
-    assignments of the right system with these bits: the census's count of
-    len(_side_configs(n, bits).rights[masks]), from path numbers alone."""
-    options = _straggler_options(stragglers, bits)
-    outside = ~bits
-    return [_joint_count(outside, [options[k] for k in config]) for config in stragglers.configs]
+    assignments of the right system whose options (_straggler_options)
+    these are: the product of its alphabets' option counts."""
+    return [math.prod(len(options[k]) for k in config) for config in stragglers.configs]
 
 
-class SideOptions(NamedTuple):
-    """The straggler options of one right path system, keyed on straggler
-    alphabet configurations (tuples of masks)."""
-
-    lefts: dict  # masks -> joint path assignments of the mirror-image left system
-    rights: dict  # masks -> joint path assignments of the right system
-    weights: dict  # masks -> straggler choices per pair of left and right assignments
-
-
-@lru_cache(maxsize=STRAGGLER_OPTIONS_MEMO)
-def _side_configs(n: int, bits: int) -> SideOptions:
-    """For the right path system with these path bits, map each straggler
-    alphabet configuration masks to its joint path assignments, when there
-    are any, in the order of the family's configurations
-    (FamilyStragglers).  lefts maps the same configurations for the
-    mirror-image left system, each assignment reversed, re-sorted into the
-    order of itertools.product.  Read by count_dominated,
-    enumerate_dominated and so enumerate_triples, and shared by every S with
-    this system on either side; do not mutate."""
-    num = path_numbering(MAX_REPLETE_N)
-    stragglers = _family_stragglers(n, frozenset(num.masks[i] for i in bit_numbers(bits)))
-    options = _straggler_options(stragglers, bits)
-    paths = num.paths
-    lefts, rights, weights = {}, {}, {}
-    for config, masks, weight in zip(stragglers.configs, stragglers.masks, stragglers.weights):
-        assigns = _joint_assignments(bits, [options[k] for k in config])
-        if assigns:
-            rights[masks] = tuple(tuple(paths[i] for i in combo) for combo in assigns)
-            lefts[masks] = tuple(sorted(tuple(p[::-1] for p in combo) for combo in rights[masks]))
-            weights[masks] = weight
-    return SideOptions(lefts, rights, weights)
-
-
-def _side_options(s: RepleteSubsemigroup) -> tuple[SideOptions, SideOptions]:
-    """The straggler options of both sides of s: the left system reads the
-    entry of the right system it mirrors."""
+def _side_options(s: RepleteSubsemigroup):
+    """The stragglers of s's family and the straggler options of both sides
+    of s: the left system's are those of the right system it mirrors, so
+    their paths are mirror images."""
     check_n(s.n, MAX_REPLETE_N, "straggler options")
     left, right = s.bits()
-    return _side_configs(s.n, left), _side_configs(s.n, right)
-
-
-def _shared_configs(left: SideOptions, right: SideOptions):
-    """Yield (masks, left-path assignments, right-path assignments) for every
-    nonempty straggler alphabet configuration that both sides admit, the
-    left side read from left and the right side from right.  A
-    configuration admitted by both sides is a combination of the alphabets
-    that are candidates on both, so the left side's order, restricted to
-    these, is the order of their combinations."""
-    rights = right.rights
-    for masks, las in left.lefts.items():
-        ras = rights.get(masks)
-        if ras:
-            yield masks, las, ras
-
-
-def _dominated_count(left: SideOptions, right: SideOptions, unit: bool) -> int:
-    """Number of sparse sets dominated by the S whose left system mirrors
-    the right system of left, whose right system is that of right, and
-    which holds the trivial tree when unit.  The trivial tree blocks every
-    straggler, so such an S dominates only the empty set; any other also
-    dominates the trivial tree alone and the straggler sets of each
-    configuration both sides admit (those of _shared_configs)."""
-    if unit:
-        return 1
-    weights = right.weights
-    return 2 + sum(
-        len(las) * len(ras) * weights[masks] for masks, las, ras in _shared_configs(left, right)
-    )
+    stragglers = _family_stragglers(s.n, frozenset(mask for mask, _, _ in s.layers))
+    return stragglers, _straggler_options(stragglers, left), _straggler_options(stragglers, right)
 
 
 def count_dominated(s: RepleteSubsemigroup) -> int:
-    """Number of sparse sets dominated by s."""
+    """Number of sparse sets dominated by s.  The trivial tree blocks every
+    straggler, so an S with it dominates only the empty set; any other also
+    dominates the trivial tree alone and, per configuration, w times the
+    product of its two sides' numbers of joint path assignments."""
     if s.unit:
         return 1
-    return _dominated_count(*_side_options(s), unit=False)
+    stragglers, lefts, rights = _side_options(s)
+    counts = zip(
+        stragglers.weights,
+        _assignment_counts(stragglers, lefts),
+        _assignment_counts(stragglers, rights),
+    )
+    return 2 + sum(w * a * b for w, a, b in counts)
 
 
 def _trees_with_paths(lam, rho):
@@ -581,11 +498,22 @@ def _trees_with_paths(lam, rho):
 
 
 def enumerate_dominated(s: RepleteSubsemigroup) -> Iterator[FrozenSet[Tree]]:
-    yield frozenset()
+    """The sparse sets dominated by s: the empty set, the trivial tree
+    alone, then per configuration, per left path assignment (sorted), per
+    right one (in the order of itertools.product), each choice of trees
+    with those paths."""
     if s.unit:
+        yield frozenset()
         return
+    stragglers, lefts, rights = _side_options(s)
+    yield frozenset()
     yield frozenset({LEAF})
-    for _, las, ras in _shared_configs(*_side_options(s)):
+    paths = path_numbering(MAX_REPLETE_N).paths
+    for config in stragglers.configs:
+        # A product of sorted lists is sorted, so the left assignments come
+        # in the order of their sorted mirror images.
+        las = itertools.product(*(sorted(paths[i][::-1] for i in lefts[k]) for k in config))
+        ras = itertools.product(*([paths[i] for i in rights[k]] for k in config))
         for la, ra in itertools.product(las, ras):
             per_mask = [_trees_with_paths(lam, rho) for lam, rho in zip(la, ra)]
             for choice in itertools.product(*per_mask):
@@ -679,18 +607,18 @@ def count_free_mirig(n: int, strategy: str = "grouped") -> int:
         # A family's R right systems make R**2 (left, right) pairs, each an
         # S with the trivial tree, which dominates 1 set and doubles the
         # parities, and one without, which dominates 2 sets plus, for each
-        # configuration masks, w(masks) * len(lefts[masks]) *
-        # len(rights[masks]) (see _dominated_count).  The sum is bilinear,
-        # and a system's lefts[masks] is as long as its rights[masks], so
-        # the family adds 2**|F| * (4 * R**2 + sum of w(masks) *
-        # A(masks)**2), A(masks) being the total of len(rights[masks]),
-        # which _assignment_counts counts without listing the assignments.
+        # configuration, w * A(left) * A(right) (see count_dominated), A(x)
+        # being the product of x's option counts on its alphabets; the left
+        # system reads the options of the right system it mirrors.  The sum
+        # is bilinear, so the family adds 2**|F| * (4 * R**2 + sum of
+        # w * A**2), A being the total of A(x) over the right systems x.
         total = 0
         for family, systems in right_systems_by_family(n):
             stragglers = _family_stragglers(n, frozenset(family))
-            counts = [0] * len(stragglers.configs)  # A(masks), per configuration
+            counts = [0] * len(stragglers.configs)  # A, per configuration
             for _, bits in systems:
-                counts = list(map(operator.add, counts, _assignment_counts(stragglers, bits)))
+                options = _straggler_options(stragglers, bits)
+                counts = list(map(operator.add, counts, _assignment_counts(stragglers, options)))
             paired = sum(w * a * a for w, a in zip(stragglers.weights, counts))
             total += 2 ** len(family) * (4 * len(systems) ** 2 + paired)
         return total

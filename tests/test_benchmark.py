@@ -3,10 +3,11 @@ result line.
 
 perfbench/run.py reports its result as the last stdout line (see
 perfbench/README.md), so a run that prints anything after it, or fails a
-workload, gives no result.  words is the workload that runs
-`parse_word` and `tree_of_word`, arith the one that runs the path-system
-closures, census the one that runs the catalogue and straggler-option
-bitsets."""
+workload, gives no result.  Each of the four workloads that
+BENCHMARK.json declares is run: words runs `parse_word` and
+`tree_of_word`, arith the path-system closures, census the catalogue and
+straggler-option bitsets, and crosscheck normalization and evaluation
+against the expansion graph."""
 
 import json
 import math
@@ -19,7 +20,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("workload", ["words", "arith", "census"])
+@pytest.mark.parametrize("workload", ["words", "arith", "census", "crosscheck"])
 def test_run_ends_in_a_result_line(workload):
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1", "--seconds", "1"],

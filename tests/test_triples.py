@@ -14,6 +14,7 @@ from mirigs.monoid import (
     MAX_TREE_NESTING,
     all_trees,
     gen_tree,
+    mask_size,
     star_left,
     star_right,
 )
@@ -23,6 +24,7 @@ from mirigs.subsemigroups import (
     _right_systems,
     bits_of,
     enumerate_replete,
+    path_class_size,
     path_numbering,
     replete_closure_trees,
     right_systems_by_family,
@@ -404,8 +406,9 @@ class TestDominatedSets:
 
 class TestDominatedReference:
     """The dominated sets against tests/tree_reference.py, which works out
-    each S's straggler options from scratch, where the library shares each
-    side's options between the S with equal path systems on that side."""
+    each S's straggler options and joint assignments by membership tests on
+    sets of paths, where the library reads the options by path number and
+    multiplies their counts."""
 
     def test_count_dominated_n3(self):
         for s in enumerate_replete(3):
@@ -466,31 +469,37 @@ class TestDominatedReference:
                 checked += 1
         assert checked == 573
 
-    def test_joint_count_matches_listing(self):
-        # On the n = 3 census's systems and their mirror images the pairwise
-        # check of joint assignments cuts none, so it is checked here on
-        # random path sets and options, against the star products of the
-        # paths themselves.
+    def test_option_products_match_joint_assignments(self):
+        # Every tuple of one option per alphabet of a configuration is a
+        # joint assignment: for every n = 3 right system and its mirror
+        # image, on both sides, the product of the options equals the
+        # reference's listing, which also checks the star products of each
+        # pair of paths in the tuple.
         num = path_numbering(3)
-        rng = random.Random(16)
-        cut = 0
-        for _ in range(400):
-            bits = rng.getrandbits(15)
-            within = {num.paths[i] for i in range(15) if bits >> i & 1}
-            options = [rng.sample(range(15), rng.randint(0, 4)) for _ in range(rng.randint(1, 3))]
-            listed = triples._joint_assignments(bits, options)
-            expected = [
-                combo
-                for combo in itertools.product(*options)
-                if all(
-                    star_right(num.paths[i], num.paths[j]) in within
-                    for i, j in itertools.permutations(combo, 2)
-                )
-            ]
-            assert listed == expected, (bits, options)
-            assert triples._joint_count(~bits, options) == len(expected), (bits, options)
-            cut += len(expected) < math.prod(len(opts) for opts in options)
-        assert cut > 100
+        systems = joint = 0
+        for family, found in right_systems_by_family(3):
+            stragglers = triples._family_stragglers(3, frozenset(family))
+            candidates = [num.masks[numbers.start] for numbers in stragglers.numbers]
+            for system, _ in found:
+                mirrored = {m: frozenset(p[::-1] for p in ps) for m, ps in system.items()}
+                for paths_of, mirror_of in ((system, mirrored), (mirrored, system)):
+                    options = triples._straggler_options(
+                        stragglers, bits_of(p for ps in paths_of.values() for p in ps)
+                    )
+                    for config in stragglers.configs:
+                        masks = [candidates[k] for k in config]
+                        rights = [[num.paths[i] for i in options[k]] for k in config]
+                        lefts = [[num.paths[i][::-1] for i in options[k]] for k in config]
+                        for star, of, opts in ((star_right, paths_of, rights), (star_left, mirror_of, lefts)):
+                            listed = ref._joint_assignments(star, of, masks, opts)
+                            assert [tuple(a[m] for m in masks) for a in listed] == list(
+                                itertools.product(*opts)
+                            ), (system, masks)
+                            if len(config) > 1:
+                                joint += len(listed)
+                systems += 1
+        assert systems == 573
+        assert joint > 0
 
     def test_dominated_sets_capacity(self):
         wide = ((0b1111, ((0, 1, 2, 3),), ((0, 1, 2, 3),)),)
@@ -499,27 +508,52 @@ class TestDominatedReference:
                 count_dominated(s)
             with pytest.raises(CapacityError, match="n <= 3"):
                 list(enumerate_dominated(s))
+            # Nothing is listed before the capacity error.
+            with pytest.raises(CapacityError, match="n <= 3"):
+                next(enumerate_dominated(s))
 
     def test_census_counts_match_side_options(self):
-        # The census counts each configuration's joint assignments on path
-        # numbers; per n = 3 right system and its mirror image, its counts
-        # are the lengths of the assignment lists that count_dominated and
-        # enumerate_dominated read, on both sides, and it counts no
-        # configuration those lists leave out.
+        # The census and count_dominated count each configuration's joint
+        # assignments as the product of its option counts; per n = 3 right
+        # system and its mirror image, these counts, the configurations'
+        # order and their weights are the reference's, which lists the
+        # configurations, options and joint assignments from the paths.
         systems = 0
         for family, found in right_systems_by_family(3):
-            stragglers = triples._family_stragglers(3, frozenset(family))
-            for system, bits in found:
-                mirror = bits_of(p[::-1] for ps in system.values() for p in ps)
-                for side_bits in (bits, mirror):
-                    counts = triples._assignment_counts(stragglers, side_bits)
-                    counted = {m: c for m, c in zip(stragglers.masks, counts) if c}
-                    side = triples._side_configs(3, side_bits)
-                    assert counted == {m: len(a) for m, a in side.rights.items()}, system
-                    assert counted == {m: len(a) for m, a in side.lefts.items()}, system
-                    assert side.weights == {
-                        m: w for m, w in zip(stragglers.masks, stragglers.weights) if m in counted
-                    }
+            fam = frozenset(family)
+            stragglers = triples._family_stragglers(3, fam)
+            layers = tuple((mask, (), ()) for mask in family)
+            candidates = ref._d_mask_candidates(RepleteSubsemigroup(3, False, layers))
+            configs = [
+                masks
+                for r in range(1, len(candidates) + 1)
+                for masks in itertools.combinations(candidates, r)
+                if all(
+                    (a & b) not in (a, b) and (a | b) in fam
+                    for a, b in itertools.combinations(masks, 2)
+                )
+            ]
+            assert stragglers.weights == tuple(
+                math.prod(path_class_size(mask_size(a)) ** 2 for a in masks) for masks in configs
+            )
+            for system, _ in found:
+                mirrored = {m: frozenset(p[::-1] for p in ps) for m, ps in system.items()}
+                for paths_of in (system, mirrored):
+                    options = triples._straggler_options(
+                        stragglers, bits_of(p for ps in paths_of.values() for p in ps)
+                    )
+                    expected = [
+                        len(
+                            ref._joint_assignments(
+                                star_right,
+                                paths_of,
+                                masks,
+                                [ref._compatible_paths(star_right, paths_of, a) for a in masks],
+                            )
+                        )
+                        for masks in configs
+                    ]
+                    assert triples._assignment_counts(stragglers, options) == expected, system
                 systems += 1
         assert systems == 573
 
@@ -533,15 +567,22 @@ class TestTriplesCensus:
         built = enumerate_replete(3)
         pairs = 0
         for family, systems in right_systems_by_family(3):
-            options = [triples._side_configs(3, bits) for _, bits in systems]
-            for (_, left_bits), left in zip(systems, options):
-                for (_, right_bits), right in zip(systems, options):
+            stragglers = triples._family_stragglers(3, frozenset(family))
+            counts = [
+                triples._assignment_counts(stragglers, triples._straggler_options(stragglers, bits))
+                for _, bits in systems
+            ]
+            for (_, left_bits), left in zip(systems, counts):
+                for (_, right_bits), right in zip(systems, counts):
                     for unit in (False, True):
                         s = next(built)
                         assert [mask for mask, _, _ in s.layers] == family and s.unit == unit
                         assert bits_of(p[::-1] for _, lp, _ in s.layers for p in lp) == left_bits
                         assert bits_of(p for _, _, rp in s.layers for p in rp) == right_bits
-                        count = triples._dominated_count(left, right, unit)
+                        # The census's term for this (left, right, unit).
+                        count = 1 if unit else 2 + sum(
+                            w * a * b for w, a, b in zip(stragglers.weights, left, right)
+                        )
                         assert count == count_dominated(s), s.layers
                         pairs += 1
         assert next(built, None) is None
