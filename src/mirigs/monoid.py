@@ -96,23 +96,35 @@ def mask_of(gens) -> int:
 # Green-Rees decomposition of a word
 
 
-def grf(w: Word) -> tuple[Word, int, int, Word]:
+def grf(w: Word | bytes, order: Optional[bytes] = None) -> tuple:
     """The Green-Rees decomposition (p, a, b, q) of a nonempty word: w ~ p a
     b q with p the maximal prefix missing exactly the generator a and q the
     maximal suffix missing exactly the generator b.  A plain tuple, which
     is cheaper to build than a named one.
 
-    a is the last generator to make its first appearance, and p ends just
-    before that appearance; b and q are found the same way on the reversed
-    word.  Each scan is a C-level pass: `dict.fromkeys` keeps the
-    generators in order of first appearance, and `tuple.index` finds it.
+    w is a tuple of letters or the `bytes` of one, and p and q come back as
+    the same type.  A tuple holding a letter outside range(256) raises
+    ValueError.  `order` may give w's letters in order of first
+    occurrence, as `bytes`; it is computed when left out.
+
+    a is the last letter to make its first appearance, and p ends just
+    before that appearance; b is the letter whose last appearance comes
+    first, and q starts just after it.  Both are C-level searches of the
+    bytes: one `find` for a and one `rfind` per letter for b.
     """
     if not w:
         raise ValueError("the empty word has no Green-Rees decomposition")
-    a = [*dict.fromkeys(w)][-1]
-    r = w[::-1]
-    b = [*dict.fromkeys(r)][-1]
-    return w[: w.index(a)], a, b, w[len(w) - r.index(b) :]
+    u = w if type(w) is bytes else bytes(w)
+    if order is None:
+        order = bytes(dict.fromkeys(u))
+    a = order[-1]
+    r = min(map(u.rfind, order))
+    b = u[r]
+    p = u[: u.find(a)]
+    q = u[r + 1 :]
+    if u is w:
+        return p, a, b, q
+    return tuple(p), a, b, tuple(q)
 
 
 # ---------------------------------------------------------------------------
@@ -192,27 +204,41 @@ def gen_tree(i: int) -> Tree:
 def tree_of_word(w: Word) -> Tree:
     """The canonical tree of w, built from its Green-Rees decompositions.
 
-    The recursions on the prefix p and the suffix q of w ~ p a b q reach
-    many of the same subwords, so each distinct subword is decomposed once
-    and its tree looked up after that: `grf` runs once per distinct
-    subword, not about 2^|alphabet| times.  The memo lives for this call
-    only.  Each decomposition is a few C-level passes over its subword
-    (see `grf`), so the cost is mostly the number of distinct subwords:
-    about 500, of about 10 letters each, for a random 1000-letter word on
-    16 letters.
+    The word is converted to `bytes` once, so a subword is a `memcpy`
+    slice with a cached hash; a tuple holding a letter outside range(256)
+    raises ValueError.  The recursions on the prefix p and the suffix q of
+    w ~ p a b q reach many of the same subwords, so each distinct subword
+    is decomposed once and its tree looked up after that: `grf` runs once
+    per distinct subword, not about 2^|alphabet| times.  The memo lives
+    for this call only.
+
+    Each subword is decomposed with its letters in order of first
+    occurrence.  p inherits its parent's order minus the last letter a,
+    so only a suffix q that misses the memo needs a `dict.fromkeys` pass.
+    The cost is mostly the number of distinct subwords: about 500, of
+    about 10 letters each, for a random 1000-letter word on 16 letters.
     """
-    return _tree_of_subword(w, {(): LEAF})
+    u = bytes(w)
+    if not u:
+        return LEAF
+    return _tree_of_subword(u, bytes(dict.fromkeys(u)), {b"": LEAF})
 
 
-def _tree_of_subword(u: Word, memo: dict[Word, Tree]) -> Tree:
-    # A module-level function, not a closure: a closure that calls itself
-    # is a reference cycle, which would keep each call's memo alive until
-    # the cyclic garbage collector runs.  grf is looked up in the module on
-    # each call, so a wrapper installed there sees every decomposition.
-    t = memo.get(u)
-    if t is None:
-        p, a, b, q = grf(u)
-        t = memo[u] = node(_tree_of_subword(p, memo), a, b, _tree_of_subword(q, memo))
+def _tree_of_subword(u: bytes, order: bytes, memo: dict[bytes, Tree]) -> Tree:
+    # The tree of a nonempty subword u that is not in the memo yet, whose
+    # letters in order of first occurrence are `order`.  A module-level
+    # function, not a closure: a closure that calls itself is a reference
+    # cycle, which would keep each call's memo alive until the cyclic
+    # garbage collector runs.  grf is looked up in the module on each
+    # call, so a wrapper installed there sees every decomposition.
+    p, a, b, q = grf(u, order)
+    left = memo.get(p)
+    if left is None:
+        left = _tree_of_subword(p, order[:-1], memo)
+    right = memo.get(q)
+    if right is None:
+        right = _tree_of_subword(q, bytes(dict.fromkeys(q)), memo)
+    t = memo[u] = node(left, a, b, right)
     return t
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import tree_reference as ref
+from mirigs import monoid
 from mirigs.errors import CapacityError, ParseError
 from mirigs.monoid import (
     LEAF,
@@ -112,17 +113,37 @@ class TestGrf:
         with pytest.raises(ValueError):
             grf(())
 
+    @staticmethod
+    def check_against_reference(word):
+        """grf on the tuple and on its bytes gives the reference's
+        decomposition, with p and q of the input's type."""
+        expected = ref.grf(word)
+        assert grf(word) == expected
+        p, a, b, q = grf(bytes(word))
+        assert type(p) is bytes and type(q) is bytes
+        assert (tuple(p), a, b, tuple(q)) == expected
+
     @given(st.integers(1, 6).flatmap(lambda n: words(n, max_size=40)))
     def test_matches_reference(self, word):
         if word:
-            assert grf(word) == ref.grf(word)
+            self.check_against_reference(word)
 
     def test_matches_reference_on_long_words(self):
         rng = random.Random(12)
         for k in range(1, 13):
             for _ in range(8):
                 word = tuple(rng.randrange(k) for _ in range(rng.randint(1, 300)))
-                assert grf(word) == ref.grf(word)
+                self.check_against_reference(word)
+
+    @pytest.mark.parametrize("letter", [-1, 256, 1000])
+    def test_out_of_range_letter_rejected(self, letter):
+        # A word's letters must fit in a byte; a tuple holding any other
+        # letter raises ValueError rather than building a tree.
+        word = (0, letter, 1)
+        with pytest.raises(ValueError):
+            grf(word)
+        with pytest.raises(ValueError):
+            tree_of_word(word)
 
     @given(words(3))
     def test_soundness(self, word):
@@ -454,10 +475,54 @@ class TestTreeReference:
             self.check(rng, seq[start : start + 300])
 
     def test_products_at_k16(self):
-        # Out of the reference's reach: k = 16 is checked through the
-        # product identity instead.
+        # Out of the reference's reach: k = 16, and 1000-letter words on all
+        # 26 letters, are checked through the product identity instead.
         rng = random.Random(7)
-        for _ in range(12):
-            u = tuple(rng.randrange(16) for _ in range(rng.randint(0, 600)))
-            v = tuple(rng.randrange(16) for _ in range(rng.randint(0, 600)))
-            assert tree_product(tree_of_word(u), tree_of_word(v)) is tree_of_word(u + v)
+        for k, length, count in ((16, 600, 12), (MAX_GENERATORS, 1000, 4)):
+            for _ in range(count):
+                u = tuple(rng.randrange(k) for _ in range(rng.randint(0, length)))
+                v = tuple(rng.randrange(k) for _ in range(rng.randint(0, length)))
+                assert tree_product(tree_of_word(u), tree_of_word(v)) is tree_of_word(u + v)
+
+    @staticmethod
+    def reached_subwords(word):
+        """The distinct nonempty subwords that the recursion on reference
+        decompositions reaches from word."""
+        seen = set()
+        stack = [word]
+        while stack:
+            u = stack.pop()
+            if u and u not in seen:
+                seen.add(u)
+                p, _, _, q = ref.grf(u)
+                stack += (p, q)
+        return seen
+
+    def test_grf_runs_once_per_distinct_subword(self, monkeypatch):
+        # tree_of_word calls grf through the module binding once for each
+        # distinct nonempty subword it reaches, so a wrapper installed
+        # there (as perfbench/tracing.py installs one) counts them all.
+        calls = []
+
+        def counted(*args):
+            calls.append(args[0])
+            return grf(*args)
+
+        monkeypatch.setattr(monoid, "grf", counted)
+        rng = random.Random(8)
+        cases = [
+            tuple(rng.randrange(k) for _ in range(rng.randint(0, 300)))
+            for k in range(1, 13)
+            for _ in range(4)
+        ]
+        cases += [zimin(order) for order in range(1, 11)]
+        for k, m in ((4, 4), (8, 3)):
+            seq = de_bruijn(k, m)
+            seq = seq + seq[:300]
+            cases += [seq[start : start + 300] for start in (0, 37, len(seq) // 2 - 150)]
+        for word in cases:
+            calls.clear()
+            tree_of_word(word)
+            reached = self.reached_subwords(word)
+            assert len(calls) == len(reached)
+            assert {tuple(u) for u in calls} == reached

@@ -6,7 +6,8 @@ one pass.
 
 `grf` finds the Green-Rees decomposition letter by letter, tracking the
 generators seen so far in a bitmask, where `mirigs.monoid.grf` finds it
-with `dict.fromkeys` and `tuple.index` scans.  `tree_of_word` recurses with
+with `bytes.find` and `bytes.rfind` searches, given the letters in order
+of first occurrence.  `tree_of_word` recurses with
 this `grf` on the prefix and suffix of every decomposition without
 remembering a subword it has seen, so it makes about 2^|alphabet| calls;
 `mirigs.monoid.tree_of_word` decomposes each distinct subword once.
