@@ -281,16 +281,6 @@ def tree_product(s: Tree, t: Tree) -> Tree:
     return out
 
 
-def is_left_factor(s: Tree, t: Tree) -> bool:
-    """True iff t = s * t' for some t', i.e. s*t = t."""
-    return tree_product(s, t) is t
-
-
-def is_right_factor(s: Tree, t: Tree) -> bool:
-    """True iff t = t' * s for some t', i.e. t*s = t."""
-    return tree_product(t, s) is t
-
-
 # ---------------------------------------------------------------------------
 # Extremal paths
 #

@@ -14,7 +14,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import FrozenSet, Iterator
+from typing import FrozenSet, Iterator, NamedTuple
 
 from .errors import CapacityError, NotASubsemigroupError
 from .monoid import (
@@ -36,9 +36,15 @@ from .monoid import (
 
 TreeSet = FrozenSet[Tree]
 
-# Exact replete enumeration is only promised up to three generators; the
-# per-layer path-set catalogue grows super-exponentially after that.
-MAX_REPLETE_N = 3
+# Replete S are listed (enumerate_replete, and the triples census and
+# straggler options, which read the listed right systems) up to three
+# generators: at four there are 9 770 803 right systems, 2 * R**2 S per
+# family.  The censuses that count from the per-family histograms answer up
+# to four.  At five there are 1 385 552 union-closed families, each with a
+# catalogue product to count over, and the 5-letter catalogue alone did not
+# finish in 150 s.
+MAX_ENUMERATION_N = 3
+MAX_CENSUS_N = 4
 
 
 _product_closure_cache: dict[TreeSet, TreeSet] = {}
@@ -130,9 +136,9 @@ def close_left(paths) -> frozenset:
 # One numbering gives every nonempty path a number, so that a set of paths
 # is an int, and one table gives star_right of every two numbered paths.
 # The closures of path systems (close_bits, behind close_path_system and
-# the triple arithmetic) and the census checks (paths_beside,
-# closed_path_set_bits and the triples census's straggler options, through
-# the pair table star_pair_bits) read these two, by path number.  The empty
+# the triple arithmetic) and the census checks (closed_path_set_bits, from
+# the rows, and the triples census's straggler options, through the pair
+# table star_pair_bits) read these two, by path number.  The empty
 # path, the trivial tree's, has no number: star_right with it gives the
 # other path back, so it never yields a new path, and callers carry it as a
 # flag beside the bits.
@@ -304,12 +310,12 @@ def star_product_bits(unit1: bool, bits1: int, unit2: bool, bits2: int) -> int:
 
 @lru_cache(maxsize=None)
 def star_pair_bits() -> tuple[tuple[int, ...], ...]:
-    """The pair table of the census checks, indexed by path number on the
-    first MAX_REPLETE_N letters (15 paths on 3): entry [i][j] holds the bits
-    of star_right(p, q) and star_right(q, p), p and q numbered i and j,
-    read from the rows."""
-    num = path_numbering(MAX_REPLETE_N)
-    count = num.layer_start[1 << MAX_REPLETE_N]
+    """The pair table of the triples census's checks, indexed by path number
+    on the first MAX_ENUMERATION_N letters (15 paths on 3): entry [i][j]
+    holds the bits of star_right(p, q) and star_right(q, p), p and q
+    numbered i and j, read from the rows."""
+    num = path_numbering(MAX_ENUMERATION_N)
+    count = num.layer_start[1 << MAX_ENUMERATION_N]
     rows = [num.row(i) for i in range(count)]
     return tuple(tuple(rows[i][j] | rows[j][i] for j in range(count)) for i in range(count))
 
@@ -339,10 +345,11 @@ def closed_path_sets(mask: int) -> tuple[frozenset, ...]:
 
     Generated by closure: every closed set is reached from the closure of
     one of its paths by closing it with one more of its paths at a time.
-    Small alphabets only; the height-3 case recovers the 22 closed sets.
+    The height-3 case recovers the 22 closed sets; on 4 letters there are
+    485.
     """
-    if mask_size(mask) > 3:
-        raise CapacityError("path-set catalogue supported for alphabets of size <= 3")
+    if mask_size(mask) > MAX_CENSUS_N:
+        raise CapacityError(f"path-set catalogue supported for alphabets of size <= {MAX_CENSUS_N}")
     num = path_numbering(mask.bit_length())
     layer = range(num.layer_start[mask], num.layer_start[mask + 1])
     bit = num.bit
@@ -366,19 +373,48 @@ def closed_path_set_bits(mask: int) -> tuple[tuple[frozenset, int, int], ...]:
     the bits of the paths p on proper sub-alphabets of mask that it admits:
     star_right(t, p) is in the entry for every t in it.  These are the paths
     beside the entry, as star_right(p, t) is t."""
-    check_n(mask.bit_length(), MAX_REPLETE_N, "path-set catalogue")
-    num = path_numbering(MAX_REPLETE_N)
+    check_n(mask.bit_length(), MAX_CENSUS_N, "path-set catalogue")
+    num = path_numbering(MAX_CENSUS_N)
     # A proper sub-alphabet is a smaller mask, so its paths number below mask's.
     below = [i for i in range(num.layer_start[mask]) if not num.masks[i] & ~mask]
     bit = num.bit
     out = []
     for target in closed_path_sets(mask):
         own = bits_of(target)
+        rows = [num.row(j) for j in bit_numbers(own)]
         admitted = 0
-        for i in paths_beside(below, bit_numbers(own), own):
-            admitted |= bit[i]
+        for i in below:
+            products = 0
+            for row in rows:
+                products |= row[i]
+            if not products & ~own:
+                admitted |= bit[i]
         out.append((target, own, admitted))
     return tuple(out)
+
+
+class Catalogue(NamedTuple):
+    """closed_path_set_bits(mask) as the censuses read it, by entry index."""
+
+    # per entry: its index, the bits of its paths, the bits of the paths it
+    # admits, and whether it holds one path
+    entries: tuple[tuple[int, int, int, bool], ...]
+    # per path number below the mask, the entries that admit it (bit e for entry e)
+    admitting: dict[int, int]
+
+
+# catalogue() is bounded by the census cap: at most 15 masks reach it.
+@lru_cache(maxsize=None)
+def catalogue(mask: int) -> Catalogue:
+    entries = closed_path_set_bits(mask)
+    admitting: dict[int, int] = {}
+    for e, (_, _, admitted) in enumerate(entries):
+        for i in bit_numbers(admitted):
+            admitting[i] = admitting.get(i, 0) | 1 << e
+    return Catalogue(
+        tuple((e, own, admitted, len(target) == 1) for e, (target, own, admitted) in enumerate(entries)),
+        admitting,
+    )
 
 
 def expand_layer(mask: int, left_paths, right_paths) -> TreeSet:
@@ -657,77 +693,280 @@ def replete_closure(trees, n: int) -> RepleteSubsemigroup:
 
 def union_closed_families(n: int) -> list[frozenset[int]]:
     """All union-closed families of nonempty alphabets over [n], smaller
-    families first, each size in lexicographic order of the sorted masks."""
-    masks = [m for m in range(1, 1 << n)]
-    out = []
-    for r in range(len(masks) + 1):
-        for combo in itertools.combinations(masks, r):
-            fam = frozenset(combo)
-            if all(a | b in fam for a in fam for b in fam):
-                out.append(fam)
+    families first, each size in lexicographic order of the sorted masks.
+
+    Decides the masks in ascending order, keeping with each partial family
+    the unions its members force: a union is no smaller than its parts, so
+    a forced mask is still undecided, and may not be left out."""
+    partial: list[tuple[tuple[int, ...], int]] = [((), 0)]
+    for m in range(1, 1 << n):
+        grown = []
+        for chosen, forced in partial:
+            if not forced >> m & 1:
+                grown.append((chosen, forced))
+            for f in chosen:
+                forced |= 1 << (f | m)
+            grown.append((chosen + (m,), forced))
+        partial = grown
+    out = [frozenset(chosen) for chosen, _ in partial]
+    out.sort(key=lambda fam: (len(fam), sorted(fam)))
     return out
 
 
-def _right_systems(family: list[int]) -> Iterator[tuple[dict, int]]:
+def _right_systems(family: list[int]) -> list[tuple[tuple[int, ...], int]]:
     """All assignments mask -> closed right path set over a union-closed family,
     given in ascending order, that are closed under cross-layer products,
-    each with the bits of all its paths (bits_of).
+    each as the indices of its entries in the layers' catalogues (catalogue),
+    one per layer, with the bits of all its paths (bits_of).
 
-    Backtracks over the layers in ascending mask order, so the systems come
-    out in the order of itertools.product over the per-layer catalogues.
-    A product lands on the union of its factors' alphabets, a mask no
-    smaller than either, so each layer is checked when it is chosen,
-    against the layers below it (its subsets, all chosen earlier).  Only
-    star_right(t, p), with t on the layer and p below it, needs a check:
-    star_right(p, t) is t, and when the layer is a | b, star_right(p, q)
-    with p on a and q on b equals star_right(star_right(t, p), q) for any
-    t on the layer.  The check is one AND: the paths below must all be
-    among those the catalogue entry admits (closed_path_set_bits)."""
-    below = [[a for a in family[:i] if a & c == a] for i, c in enumerate(family)]
-    chosen: dict[int, frozenset] = {}
-    chosen_bits: dict[int, int] = {}
-
-    def extend(i: int, bits: int) -> Iterator[tuple[dict, int]]:
-        if i == len(family):
-            yield dict(chosen), bits
-            return
-        c = family[i]
-        lower = 0
-        for a in below[i]:
-            lower |= chosen_bits[a]
-        for target, own, admitted in closed_path_set_bits(c):
-            if not lower & ~admitted:
-                chosen[c] = target
-                chosen_bits[c] = own
-                yield from extend(i + 1, bits | own)
-        chosen.pop(c, None)
-
-    return extend(0, 0)
+    Backtracks in place over the layers in ascending mask order, so the
+    systems come out in the order of itertools.product over the per-layer
+    catalogues.  A product lands on the union of its factors' alphabets, a
+    mask no smaller than either, so each layer is checked when it is
+    chosen, against the layers below it (its subsets, all chosen earlier).
+    Only star_right(t, p), with t on the layer and p below it, needs a
+    check: star_right(p, t) is t, and when the layer is a | b,
+    star_right(p, q) with p on a and q on b equals
+    star_right(star_right(t, p), q) for any t on the layer.  The check is
+    one AND: the paths below must all be among those the catalogue entry
+    admits (closed_path_set_bits)."""
+    out: list[tuple[tuple[int, ...], int]] = []
+    if not family:
+        out.append(((), 0))
+        return out
+    below = _family_plan(tuple(family)).below
+    layers = [catalogue(mask).entries for mask in family]
+    _choose(0, 0, layers, below, [0] * len(family), [0] * len(family), out)
+    return out
 
 
-def right_systems_by_family(n: int) -> Iterator[tuple[list[int], list[tuple[dict, int]]]]:
+def _choose(i: int, bits: int, layers, below, own: list, index: list, out: list) -> None:
+    """The backtracking of _right_systems at layer i, the layers before it
+    chosen: their entries in index, their paths' bits in own and, ORed
+    together, in bits.  Each full choice is appended to out."""
+    if i == len(layers):
+        out.append((tuple(index), bits))
+        return
+    lower = 0
+    for j in below[i]:
+        lower |= own[j]
+    for e, paths, admitted, _ in layers[i]:
+        if not lower & ~admitted:
+            index[i] = e
+            own[i] = paths
+            _choose(i + 1, bits | paths, layers, below, own, index, out)
+
+
+def right_systems_by_family(n: int) -> Iterator[tuple[list[int], list[tuple[tuple[int, ...], int]]]]:
     """Per union-closed family of nonempty alphabets over [n], as its sorted
-    masks, the family's right systems with their path bits (_right_systems).
-    The one walk over the families behind enumerate_replete (in its order),
-    right_system_histograms and the triples census."""
+    masks, the family's right systems as catalogue-entry indices with their
+    path bits (_right_systems).  The one walk over the families behind
+    enumerate_replete (in its order) and the triples census."""
+    check_n(n, MAX_ENUMERATION_N, "right-system listing")
     for fam in union_closed_families(n):
         family = sorted(fam)
-        yield family, list(_right_systems(family))
+        yield family, _right_systems(family)
 
 
 def enumerate_replete(n: int) -> Iterator[RepleteSubsemigroup]:
     """Every replete subsemigroup of T_n exactly once, compactly represented."""
-    check_n(n, MAX_REPLETE_N, "replete enumeration")
+    check_n(n, MAX_ENUMERATION_N, "replete enumeration")
     for family, systems in right_systems_by_family(n):
-        # Each system's paths, sorted once, per mask in ascending order: the
-        # layers of every S on the family zip one left and one right system.
-        rights = [[tuple(sorted(system[mask])) for mask in family] for system, _ in systems]
-        lefts = [[tuple(sorted(p[::-1] for p in ps)) for ps in system] for system in rights]
+        # Each catalogue entry's paths, sorted once, and their mirror images:
+        # the layers of every S on the family zip one left and one right
+        # system.
+        rights_of = [[tuple(sorted(target)) for target in closed_path_sets(mask)] for mask in family]
+        lefts_of = [[tuple(sorted(p[::-1] for p in ps)) for ps in entries] for entries in rights_of]
+        rights = [[entries[e] for entries, e in zip(rights_of, index)] for index, _ in systems]
+        lefts = [[entries[e] for entries, e in zip(lefts_of, index)] for index, _ in systems]
         for ls in lefts:
             for rs in rights:
                 layers = tuple(zip(family, ls, rs))
                 for unit in (False, True):
                     yield RepleteSubsemigroup(n, unit, layers)
+
+
+# ---------------------------------------------------------------------------
+# Counting right systems by a sum-product
+#
+# The right systems of a family need own(a) to lie in admitted(c) for each
+# two layers a below c (see _right_systems), so two layers neither of which
+# lies below the other constrain each other only through the layers below
+# and above them.  The top layer, the union of all, lies above every other
+# layer; the co-atoms, the layers just below it, are pairwise incomparable,
+# and the layers below a co-atom are neither the top nor a co-atom.  Call
+# those the core.  Once the core layers are chosen (by backtracking, as in
+# _right_systems), the right systems that extend them number
+#   sum over the top entries t that admit every core path of
+#   the product over the co-atoms c of the number of c's entries that admit
+#   the core paths below c and whose own paths t admits.
+# A minimal layer (one with no layer of the family below it) is either in
+# the core or a co-atom, or the top of a one-layer family.  Its part of the
+# histogram comes from the core assignment, or from splitting a co-atom's
+# count into its one-path entries and the rest.
+#
+# The tables behind the product are shared between families and between
+# calls: the catalogue, one plan per family, and one count table per
+# co-atom, top and set of core paths below the co-atom, as these recur
+# across families.  At n = 4 the 2480 families use 485 top entries at most,
+# the 4-letter catalogue.  No histogram is kept: every call counts afresh.
+
+
+class FamilyPlan(NamedTuple):
+    """How _right_systems and the sum-product walk a nonempty union-closed
+    family (ascending masks).  A histogram bit is 1 << mask for a minimal
+    layer on mask (see right_system_histograms)."""
+
+    below: tuple[tuple[int, ...], ...]  # per layer, the indices of the layers below it
+    top: int
+    core: tuple[int, ...]  # the core layers, ascending
+    core_below: tuple[tuple[int, ...], ...]  # per core layer, the core positions below it
+    core_minimal: tuple[tuple[int, int], ...]  # the minimal core layers' positions and histogram bits
+    coatoms: tuple[tuple[int, tuple[int, ...]], ...]  # the co-atoms with core layers below, and their positions
+    minimal_coatoms: tuple[int, ...]  # the co-atoms with no layer below them
+    top_bit: int  # the top's histogram bit when it is the only layer, else 0
+
+
+# One plan per nonempty union-closed family on at most MAX_CENSUS_N letters:
+# 2479 at n = 4, the smaller censuses' families among them.
+FAMILY_PLAN_MEMO = 2560
+
+
+@lru_cache(maxsize=FAMILY_PLAN_MEMO)
+def _family_plan(family: tuple[int, ...]) -> FamilyPlan:
+    def below(c, layers):
+        return tuple(j for j, a in enumerate(layers) if a != c and a & c == a)
+
+    top = family[-1]
+    rest = family[:-1]
+    coatoms = [c for c in rest if not any(d != c and d & c == c for d in rest)]
+    core = tuple(c for c in rest if c not in coatoms)
+    return FamilyPlan(
+        tuple(below(c, family) for c in family),
+        top,
+        core,
+        tuple(below(c, core) for c in core),
+        tuple((j, 1 << c) for j, c in enumerate(core) if not below(c, core)),
+        tuple((c, below(c, core)) for c in coatoms if below(c, core)),
+        tuple(c for c in coatoms if not below(c, core)),
+        1 << top if not rest else 0,
+    )
+
+
+class CoatomCounts(NamedTuple):
+    """Per entry t of the top's catalogue, the co-atom's entries that admit
+    the core paths below it and whose paths t admits: their number, and how
+    many hold one path."""
+
+    totals: tuple[int, ...]
+    singles: tuple[int, ...]
+    nonzero: int  # the entries t with a nonzero total (bit t for entry t)
+
+
+# One table per (co-atom, top, core paths below the co-atom) that the
+# families on at most MAX_CENSUS_N letters meet: 900 at n = 4, the smaller
+# censuses' among them.
+COATOM_TABLE_MEMO = 1024
+
+
+@lru_cache(maxsize=COATOM_TABLE_MEMO)
+def _coatom_counts(coatom: int, top: int, lower: int) -> CoatomCounts:
+    fits = [
+        (paths, single)
+        for _, paths, admitted, single in catalogue(coatom).entries
+        if not lower & ~admitted
+    ]
+    totals, singles, nonzero = [], [], 0
+    for t, _, admitted, _ in catalogue(top).entries:
+        total = one = 0
+        for paths, single in fits:
+            if not paths & ~admitted:
+                total += 1
+                one += single
+        totals.append(total)
+        singles.append(one)
+        if total:
+            nonzero |= 1 << t
+    return CoatomCounts(tuple(totals), tuple(singles), nonzero)
+
+
+def _family_histogram(plan: FamilyPlan) -> dict[int, int]:
+    """H[X] over the right systems of a nonempty union-closed family, X
+    being the histogram bits of its minimal one-path layers, by the
+    sum-product over the co-atoms."""
+    top = catalogue(plan.top)
+    admitting = top.admitting
+    minimal = [_coatom_counts(c, plan.top, 0) for c in plan.minimal_coatoms]
+    everything = (1 << len(top.entries)) - 1
+    for table in minimal:
+        everything &= table.nonzero
+    core = [catalogue(mask).entries for mask in plan.core]
+    assignments: list[tuple[tuple[int, ...], int]] = []
+    _choose(0, 0, core, plan.core_below, [0] * len(core), [0] * len(core), assignments)
+    # Per histogram bits of the core, the weight of each top entry t: the
+    # number of core assignments with those bits that t admits, times the
+    # product of the counts of the co-atoms with core layers below them.
+    weights: dict[int, dict[int, int]] = {}
+    for index, paths in assignments:
+        x = 0
+        for j, bit in plan.core_minimal:
+            if core[j][index[j]][3]:
+                x |= bit
+        valid = everything
+        for p in bit_numbers(paths):
+            valid &= admitting.get(p, 0)
+        columns = []
+        for c, js in plan.coatoms:
+            lower = 0
+            for j in js:
+                lower |= core[j][index[j]][1]
+            table = _coatom_counts(c, plan.top, lower)
+            valid &= table.nonzero
+            columns.append(table.totals)
+        per_top = weights.setdefault(x, {})
+        for t in bit_numbers(valid):
+            w = 1
+            for column in columns:
+                w *= column[t]
+            per_top[t] = per_top.get(t, 0) + w
+    if not (minimal or plan.top_bit):
+        return {x: sum(per_top.values()) for x, per_top in weights.items()}
+    # The minimal co-atoms, and a lone top, split each top entry's weight
+    # by their one-path entries.
+    hist: dict[int, int] = {}
+    split: dict[int, list[tuple[int, int]]] = {}
+    for x, per_top in weights.items():
+        for t, w in per_top.items():
+            parts = split.get(t)
+            if parts is None:
+                parts = [(plan.top_bit if top.entries[t][3] else 0, 1)]
+                for c, table in zip(plan.minimal_coatoms, minimal):
+                    one, total = table.singles[t], table.totals[t]
+                    parts = [
+                        (y | b, m * count)
+                        for y, m in parts
+                        for b, count in ((1 << c, one), (0, total - one))
+                        if count
+                    ]
+                split[t] = parts
+            for y, m in parts:
+                hist[x | y] = hist.get(x | y, 0) + w * m
+    return hist
+
+
+def family_histograms(n: int) -> Iterator[tuple[tuple[int, ...], dict[int, int]]]:
+    """Per union-closed family of nonempty alphabets over [n], as its sorted
+    masks, the histogram of right_system_histograms with each X as a
+    bitset: bit m set for the minimal layer on mask m.  Counted by the
+    sum-product over the co-atoms, without listing the systems; the
+    censuses read this form."""
+    check_n(n, MAX_CENSUS_N, "replete census")
+    for fam in union_closed_families(n):
+        if not fam:
+            yield (), {0: 1}
+            continue
+        family = tuple(sorted(fam))
+        yield family, _family_histogram(_family_plan(family))
 
 
 def right_system_histograms(n: int) -> Iterator[tuple[frozenset[int], Counter]]:
@@ -737,18 +976,16 @@ def right_system_histograms(n: int) -> Iterator[tuple[frozenset[int], Counter]]:
     systems.  The left systems are the mirror images of the right ones,
     with the same X, so H serves both sides of every replete S on the
     family: there are 2 * R**2 of them, one per (left, right, unit)."""
-    check_n(n, MAX_REPLETE_N, "replete census")
-    for family, systems in right_systems_by_family(n):
-        minimal = [a for a in family if not any(b != a and b & a == b for b in family)]
+    for family, hist in family_histograms(n):
         yield frozenset(family), Counter(
-            frozenset(a for a in minimal if len(system[a]) == 1) for system, _ in systems
+            {frozenset(m for m in family if x >> m & 1): count for x, count in hist.items()}
         )
 
 
 def count_replete(n: int) -> int:
     """Number of replete subsemigroups of T_n, from the per-family
     histograms: no S is built."""
-    return sum(2 * sum(hist.values()) ** 2 for _, hist in right_system_histograms(n))
+    return sum(2 * sum(hist.values()) ** 2 for _, hist in family_histograms(n))
 
 
 # At n = 5 the count has about a million decimal digits; at n = 6 its

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
-import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import FrozenSet, Iterator, NamedTuple
@@ -36,10 +34,12 @@ from .monoid import (
     trees_with_rmp,
 )
 from .subsemigroups import (
-    MAX_REPLETE_N,
+    MAX_CENSUS_N,
+    MAX_ENUMERATION_N,
     RepleteSubsemigroup,
     bit_numbers,
     bits_of,
+    catalogue,
     close_bits,
     close_under_product,  # not called here; perfbench wraps it as triples.close_under_product
     count_replete,
@@ -50,8 +50,9 @@ from .subsemigroups import (
     path_class_size,
     path_numbering,
     paths_beside,
-    right_system_histograms,
+    family_histograms,
     right_systems_by_family,
+    star_pair_bits,
     star_product_bits,
 )
 from .thickets import Thicket, apparity_by_alphabet
@@ -406,10 +407,18 @@ class FamilyStragglers(NamedTuple):
     numbers: tuple[range, ...]  # per candidate, the numbers of its paths
     configs: tuple[tuple[int, ...], ...]  # per configuration, its candidates' indices
     weights: tuple[int, ...]  # per configuration, its straggler choices per path assignment
+    # per candidate, per path of it, per layer of the family (ascending),
+    # per entry of the layer's catalogue: the bits of the star products of
+    # the path with the entry's paths, in either order
+    rows: tuple[tuple[tuple[tuple[int, ...], ...], ...], ...]
 
 
-# One entry per union-closed family on at most MAX_REPLETE_N letters.
-@lru_cache(maxsize=None)
+# One entry per union-closed family on at most MAX_ENUMERATION_N letters:
+# 1 + 2 + 7 + 61 for n = 0..3.
+FAMILY_STRAGGLERS_MEMO = 128
+
+
+@lru_cache(maxsize=FAMILY_STRAGGLERS_MEMO)
 def _family_stragglers(n: int, family: frozenset[int]) -> FamilyStragglers:
     candidates = [
         a
@@ -418,7 +427,7 @@ def _family_stragglers(n: int, family: frozenset[int]) -> FamilyStragglers:
         and not any(b & a == b for b in family)
         and all(a | b in family for b in family)
     ]
-    start = path_numbering(MAX_REPLETE_N).layer_start
+    start = path_numbering(MAX_ENUMERATION_N).layer_start
     configs = [
         config
         for r in range(1, len(candidates) + 1)
@@ -428,6 +437,15 @@ def _family_stragglers(n: int, family: frozenset[int]) -> FamilyStragglers:
             for a, b in itertools.combinations([candidates[k] for k in config], 2)
         )
     ]
+    pair = star_pair_bits()
+    owns = [[bit_numbers(paths) for _, paths, _, _ in catalogue(mask).entries] for mask in sorted(family)]
+
+    def products(row, js):
+        out = 0
+        for j in js:
+            out |= row[j]
+        return out
+
     return FamilyStragglers(
         tuple(range(start[a], start[a + 1]) for a in candidates),
         tuple(configs),
@@ -436,6 +454,13 @@ def _family_stragglers(n: int, family: frozenset[int]) -> FamilyStragglers:
         tuple(
             math.prod(path_class_size(mask_size(candidates[k])) ** 2 for k in config)
             for config in configs
+        ),
+        tuple(
+            tuple(
+                tuple(tuple(products(pair[i], js) for js in layer) for layer in owns)
+                for i in range(start[a], start[a + 1])
+            )
+            for a in candidates
         ),
     )
 
@@ -447,6 +472,25 @@ def _straggler_options(stragglers: FamilyStragglers, bits: int) -> list[list[int
     return [paths_beside(candidate, numbers, bits) for candidate in stragglers.numbers]
 
 
+def _option_counts(stragglers: FamilyStragglers, index, bits: int) -> list[int]:
+    """Per candidate, the number of its straggler options in the right
+    system with these catalogue-entry indices and path bits: the paths
+    whose star products with the system's paths, ORed from the rows of the
+    system's entries, lie within bits (as _straggler_options)."""
+    outside = ~bits
+    out = []
+    for candidate in stragglers.rows:
+        count = 0
+        for layers in candidate:
+            products = 0
+            for row, e in zip(layers, index):
+                products |= row[e]
+            if not products & outside:
+                count += 1
+        out.append(count)
+    return out
+
+
 # A configuration's joint path assignments are all the tuples of one option
 # per alphabet: the star products of two options stay in the system without
 # a check of their own.  Take options p on alphabet a and q on alphabet b of
@@ -456,18 +500,19 @@ def _straggler_options(stragglers: FamilyStragglers, bits: int) -> list[list[int
 # star_right(x, q), and that is star_right(p, q), since t's letters outside
 # a all lie in b.  The same holds with p and q swapped, and a left system is
 # checked as the mirror image of a right one, so the argument covers it too.
-def _assignment_counts(stragglers: FamilyStragglers, options) -> list[int]:
+def _assignment_counts(stragglers: FamilyStragglers, counts) -> list[int]:
     """Per configuration of the family, the number of joint path
-    assignments of the right system whose options (_straggler_options)
-    these are: the product of its alphabets' option counts."""
-    return [math.prod(len(options[k]) for k in config) for config in stragglers.configs]
+    assignments of a right system with these option counts per candidate:
+    the product of its alphabets' counts."""
+    count = counts.__getitem__
+    return [math.prod(map(count, config)) for config in stragglers.configs]
 
 
 def _side_options(s: RepleteSubsemigroup):
     """The stragglers of s's family and the straggler options of both sides
     of s: the left system's are those of the right system it mirrors, so
     their paths are mirror images."""
-    check_n(s.n, MAX_REPLETE_N, "straggler options")
+    check_n(s.n, MAX_ENUMERATION_N, "straggler options")
     left, right = s.bits()
     stragglers = _family_stragglers(s.n, frozenset(mask for mask, _, _ in s.layers))
     return stragglers, _straggler_options(stragglers, left), _straggler_options(stragglers, right)
@@ -483,8 +528,8 @@ def count_dominated(s: RepleteSubsemigroup) -> int:
     stragglers, lefts, rights = _side_options(s)
     counts = zip(
         stragglers.weights,
-        _assignment_counts(stragglers, lefts),
-        _assignment_counts(stragglers, rights),
+        _assignment_counts(stragglers, list(map(len, lefts))),
+        _assignment_counts(stragglers, list(map(len, rights))),
     )
     return 2 + sum(w * a * b for w, a, b in counts)
 
@@ -508,7 +553,7 @@ def enumerate_dominated(s: RepleteSubsemigroup) -> Iterator[FrozenSet[Tree]]:
     stragglers, lefts, rights = _side_options(s)
     yield frozenset()
     yield frozenset({LEAF})
-    paths = path_numbering(MAX_REPLETE_N).paths
+    paths = path_numbering(MAX_ENUMERATION_N).paths
     for config in stragglers.configs:
         # A product of sorted lists is sorted, so the left assignments come
         # in the order of their sorted mirror images.
@@ -533,21 +578,6 @@ def enumerate_triples(n: int) -> Iterator[ComplementaryTriple]:
                     yield ComplementaryTriple(n, s, d, d_masks | frozenset(extra))
 
 
-def sample_triples(n: int, count: int, seed: int = 0) -> list[ComplementaryTriple]:
-    """Random triples, for property tests at sizes where exhaustion is out."""
-    rng = random.Random(seed)
-    semis = list(enumerate_replete(n))
-    out = []
-    while len(out) < count:
-        s = rng.choice(semis)
-        ds = list(enumerate_dominated(s))
-        d = rng.choice(ds)
-        d_masks = frozenset(t.alpha for t in d)
-        extra = frozenset(a for a in s.alphabet_masks() if rng.random() < 0.5)
-        out.append(ComplementaryTriple(n, s, d, d_masks | extra))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Counting
 
@@ -567,27 +597,28 @@ def mirig_upper_bounds(n: int) -> tuple[int, int]:
     return 4 ** m, 4 ** (m - 1) + 3 * 3 ** (m - 1)
 
 
-def _straggler_subset_sum(singles, layers: int, base: int) -> int:
-    """Sum, over the sets e of minimal single-path layers (the masks in
-    singles) that stragglers stand in for, of the straggler choices on e
-    times base ** (the number of layers of S outside e)."""
-    total = 0
-    for r in range(len(singles) + 1):
-        for e in itertools.combinations(singles, r):
-            q = math.prod(path_class_size(mask_size(a)) ** 2 for a in e)
-            total += base ** (layers - r) * q
+def _straggler_subset_sum(singles: int, layers: int, base: int) -> int:
+    """Sum, over the sets e of minimal single-path layers (bit m of singles
+    set for the layer on mask m) that stragglers stand in for, of the
+    straggler choices on e times base ** (the number of layers of S outside
+    e).  Each layer in singles adds either its choices or a factor base, so
+    the sum is a product: base ** (layers - |singles|) * prod(base + q(a)),
+    q(a) being the straggler choices on a."""
+    total = base ** (layers - singles.bit_count())
+    for a in bit_numbers(singles):
+        total *= base + path_class_size(mask_size(a)) ** 2
     return total
 
 
 def _histogram_sum(n: int, term) -> int:
     """Sum of term(|fam|, X & Y) over the replete S without the trivial
     tree, X and Y being the minimal single-path layers of S's left and
-    right systems (see right_system_histograms)."""
+    right systems as bitsets (see family_histograms)."""
     total = 0
-    for fam, hist in right_system_histograms(n):
+    for family, hist in family_histograms(n):
         for x, hx in hist.items():
             for y, hy in hist.items():
-                total += hx * hy * term(len(fam), x & y)
+                total += hx * hy * term(len(family), x & y)
     return total
 
 
@@ -600,10 +631,12 @@ def count_free_mirig(n: int, strategy: str = "grouped") -> int:
     straggler options;
     "grouped" groups triples by the replete subsemigroup their carrier
     generates, which only needs per-layer path multiplicities, and so is
-    counted from the per-family histograms without listing any S.
+    counted from the per-family histograms without listing any S or right
+    system.  "triples" lists the right systems, so it answers up to
+    MAX_ENUMERATION_N generators; "grouped" answers up to MAX_CENSUS_N.
     """
-    check_n(n, MAX_REPLETE_N, "free mirig census")
     if strategy == "triples":
+        check_n(n, MAX_ENUMERATION_N, "free mirig census by the triples strategy")
         # A family's R right systems make R**2 (left, right) pairs, each an
         # S with the trivial tree, which dominates 1 set and doubles the
         # parities, and one without, which dominates 2 sets plus, for each
@@ -616,12 +649,14 @@ def count_free_mirig(n: int, strategy: str = "grouped") -> int:
         for family, systems in right_systems_by_family(n):
             stragglers = _family_stragglers(n, frozenset(family))
             counts = [0] * len(stragglers.configs)  # A, per configuration
-            for _, bits in systems:
-                options = _straggler_options(stragglers, bits)
-                counts = list(map(operator.add, counts, _assignment_counts(stragglers, options)))
+            for index, bits in systems:
+                options = _option_counts(stragglers, index, bits)
+                for c, a in enumerate(_assignment_counts(stragglers, options)):
+                    counts[c] += a
             paired = sum(w * a * a for w, a in zip(stragglers.weights, counts))
             total += 2 ** len(family) * (4 * len(systems) ** 2 + paired)
         return total
+    check_n(n, MAX_CENSUS_N, "free mirig census")
     if strategy != "grouped":
         raise ValueError("strategy must be 'triples' or 'grouped'")
     return _histogram_sum(
@@ -647,7 +682,7 @@ VARIANTS = ("11", "21", "12", "02", "boolean_semiring")
 def count_characteristic_variant(n: int, variant: str) -> int:
     """Counts for the characteristic quotients and the Boolean-semiring one."""
     if variant in ("11", "21", "12"):
-        check_n(n, MAX_REPLETE_N, f"variant {variant} census")
+        check_n(n, MAX_CENSUS_N, f"variant {variant} census")
     if variant == "11":
         return count_replete(n)
     if variant == "21":

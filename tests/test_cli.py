@@ -23,6 +23,7 @@ from mirigs.monoid import (
 from mirigs.quotients import MAX_CAMPION_MONOID_SIZE
 from mirigs.subsemigroups import RepleteSubsemigroup
 from mirigs.triples import MAX_EVAL_N
+from mirigs.verify import PINNED
 
 from conftest import random_expression
 
@@ -163,6 +164,9 @@ class TestCounts:
             (("count", "variant", "--n", "3", "--variant", "21"), "40601"),
             (("count", "variant", "--n", "3", "--variant", "boolean_semiring"), "775"),
             (("count", "variant", "--n", "5", "--variant", "boolean_semiring"), "42122976711"),
+            (("count", "replete", "--n", "4"), str(PINNED["censuses n=4"]["replete"])),
+            (("count", "variant", "--n", "4", "--variant", "21"), str(PINNED["censuses n=4"]["21"])),
+            (("count", "variant", "--n", "4", "--variant", "12"), str(PINNED["censuses n=4"]["12"])),
         ],
     )
     def test_values(self, capsys, argv, expected):
@@ -176,7 +180,7 @@ class TestCounts:
 
     def test_capacity_error_names_bound(self, capsys):
         code, _, err = run(capsys, "count", "mirig", "--n", "9")
-        assert code == 1 and "n <= 3" in err
+        assert code == 1 and "n <= 4" in err
 
 
 class TestFailFast:
@@ -189,9 +193,17 @@ class TestFailFast:
             (("count", "variant", "--variant", "02", "--n", "14"), "n <= 13"),
             (("bounds", "--n", "4"), "n <= 3"),
             (("count", "variant", "--variant", "boolean_semiring", "--n", "6"), "n <= 5"),
-            (("count", "mirig", "--n", "4"), "free mirig census supported for n <= 3"),
-            (("count", "variant", "--variant", "12", "--n", "4"), "variant 12 census supported for n <= 3"),
+            (("count", "mirig", "--n", "5"), "free mirig census supported for n <= 4"),
+            (("count", "variant", "--variant", "12", "--n", "5"), "variant 12 census supported for n <= 4"),
             (("campion", "--monoid", "free:4"), "free idempotent monoid table supported for n <= 3"),
+            (("count", "replete", "--n", "5"), "replete census supported for n <= 4"),
+            (("count", "variant", "--variant", "21", "--n", "5"), "variant 21 census supported for n <= 4"),
+            (("count", "variant", "--variant", "11", "--n", "5"), "variant 11 census supported for n <= 4"),
+            (
+                ("count", "mirig", "--strategy", "triples", "--n", "4"),
+                "free mirig census by the triples strategy supported for n <= 3",
+            ),
+            (("enumerate", "replete", "--n", "4"), "replete enumeration supported for n <= 3"),
         ],
     )
     def test_census_past_capacity_exits_1(self, argv, limit):
@@ -286,6 +298,23 @@ class TestFailFast:
     def test_largest_census_answers(self, argv):
         proc = run_child(*argv)
         assert proc.returncode == 0 and proc.stdout.strip() and not proc.stderr
+
+    def test_free_mirig_at_four_generators(self):
+        # The largest n of the grouped census answers within the 1 GiB
+        # address space, in tens of megabytes: the child reports its peak
+        # RSS (KB) on stderr.  It reads VmHWM, the peak of its own memory
+        # map, as ru_maxrss would count the pages of the forked test process
+        # before the exec.
+        report = (
+            "import re, sys; from mirigs.cli import main; code = main(sys.argv[1:]); "
+            "status = open('/proc/self/status').read(); "
+            "print(re.search(r'VmHWM:\\s*(\\d+) kB', status).group(1), file=sys.stderr); "
+            "sys.exit(code)"
+        )
+        proc = run_child("count", "mirig", "--n", "4", command=("-c", report))
+        assert proc.returncode == 0
+        assert proc.stdout.strip() == str(PINNED["censuses n=4"]["mirig"])
+        assert int(proc.stderr) < 64 * 1024
 
     @pytest.mark.parametrize(
         "argv,expected",

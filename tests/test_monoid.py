@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import tree_reference as ref
+from tree_reference import is_left_factor, is_right_factor
 from mirigs import monoid
 from mirigs.errors import CapacityError, ParseError
 from mirigs.monoid import (
@@ -16,8 +17,6 @@ from mirigs.monoid import (
     enumerate_trees,
     gen_tree,
     grf,
-    is_left_factor,
-    is_right_factor,
     lmp,
     mask_of,
     parse_tree,

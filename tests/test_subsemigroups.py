@@ -1,7 +1,9 @@
 import hashlib
 import itertools
 import json
+import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,10 +25,10 @@ from mirigs.monoid import (
     tree_product,
 )
 from mirigs.subsemigroups import (
-    MAX_REPLETE_N,
+    MAX_CENSUS_N,
+    MAX_ENUMERATION_N,
     PathNumbering,
     RepleteSubsemigroup,
-    _right_systems,
     alphabet_family,
     bits_of,
     close_bits,
@@ -48,11 +50,14 @@ from mirigs.subsemigroups import (
     path_class_size,
     replete_closure,
     replete_closure_trees,
+    right_system_histograms,
     star_pair_bits,
     star_product_bits,
     union_closed_families,
     xy_factor,
 )
+from mirigs import subsemigroups, triples
+from mirigs.triples import count_free_mirig
 from conftest import t
 
 
@@ -309,13 +314,14 @@ class TestPathEngine:
             assert num.layer_start[mask] == layer[0]
 
     def test_path_bits_are_the_three_letter_prefix(self):
-        # The census reads the shared numbering's prefix on MAX_REPLETE_N
-        # letters, however far arithmetic has grown it, through the pair
-        # table, one row and one column per path of that prefix.
-        num = PathNumbering().grow(MAX_REPLETE_N)
-        shared = path_numbering(MAX_REPLETE_N + 1)
+        # The triples census reads the shared numbering's prefix on
+        # MAX_ENUMERATION_N letters, however far arithmetic has grown it,
+        # through the pair table, one row and one column per path of that
+        # prefix.
+        num = PathNumbering().grow(MAX_ENUMERATION_N)
+        shared = path_numbering(MAX_ENUMERATION_N + 1)
         count = len(star_pair_bits())
-        assert count == len(num.paths) == shared.layer_start[1 << MAX_REPLETE_N]
+        assert count == len(num.paths) == shared.layer_start[1 << MAX_ENUMERATION_N]
         assert shared.paths[:count] == num.paths
         assert shared.bit[:count] == num.bit
 
@@ -478,12 +484,24 @@ class TestPathClasses:
                 assert closed_path_sets(mask) == ref.closed_path_sets(mask), mask
 
     def test_catalogue_capacity(self):
-        with pytest.raises(CapacityError):
-            closed_path_sets(0b1111)
+        # The censuses answer up to MAX_CENSUS_N = 4 letters, so the
+        # catalogue does too.
+        with pytest.raises(CapacityError, match="size <= 4"):
+            closed_path_sets(0b11111)
 
     def test_catalogue_bits_capacity(self):
-        with pytest.raises(CapacityError):
-            closed_path_set_bits(0b1000)
+        with pytest.raises(CapacityError, match="n <= 4"):
+            closed_path_set_bits(0b10000)
+
+    def test_four_letter_catalogue(self):
+        # 485 closed sets on 4 letters, each closed, listed once, in the
+        # order of closed_path_sets.
+        entries = closed_path_set_bits(0b1111)
+        assert len(entries) == len(set(own for _, own, _ in entries)) == 485
+        for target, own, _ in entries:
+            assert own == bits_of(target) and close_bits(own, replete=True) == own
+        keys = [(len(target), sorted(target)) for target, _, _ in entries]
+        assert keys == sorted(keys)
 
     def test_closed_pair_structure(self):
         # the closed two-element sets share first or last generator
@@ -492,6 +510,81 @@ class TestPathClasses:
         for pair in pairs:
             p1, p2 = sorted(pair)
             assert p1[0] == p2[0] or p1[-1] == p2[-1]
+
+
+@pytest.fixture(scope="module")
+def histograms_n4():
+    return dict(right_system_histograms(4))
+
+
+class TestSumProduct:
+    """right_system_histograms counts each family's right systems by a
+    sum-product over its co-atoms, without listing them.  Up to n = 3 it is
+    checked against the listing of _right_systems; at n = 4, where listing
+    is capped, against a closed form, the renaming of the letters, and the
+    whole-system closure of the catalogue product on small families."""
+
+    def test_histograms_match_listing(self):
+        for n in range(4):
+            families = union_closed_families(n)
+            hists = list(right_system_histograms(n))
+            assert [fam for fam, _ in hists] == families
+            for fam, hist in hists:
+                assert hist == ref.histogram_by_listing(sorted(fam)), sorted(fam)
+
+    def test_families_match_subset_scan(self):
+        for n in range(5):
+            assert union_closed_families(n) == ref.union_closed_families(n), n
+
+    def test_n4_totals(self, histograms_n4):
+        # 2480 union-closed families (Moore families on 4 points), with
+        # 9 770 803 right systems in all and at most 458 696 on one.
+        sizes = [sum(hist.values()) for hist in histograms_n4.values()]
+        assert len(sizes) == 2480
+        assert sum(sizes) == 9770803 and max(sizes) == 458696
+
+    def test_n4_without_the_top_letter_set_is_height_three(self, histograms_n4):
+        # An S without the layer on all 4 letters has height at most 3, and
+        # the closed form counts those.
+        part = sum(2 * sum(hist.values()) ** 2 for fam, hist in histograms_n4.items() if 0b1111 not in fam)
+        assert part == count_replete_bounded_height(4, 3) == 71882
+
+    def test_n4_letter_renaming(self, histograms_n4):
+        # Renaming the letters maps a family's right systems onto the
+        # renamed family's, one-path layers onto one-path layers.
+        for fam in histograms_n4:
+            for perm in itertools.permutations(range(4)):
+                def rename(mask):
+                    return sum(1 << perm[g] for g in mask_members(mask))
+
+                renamed = Counter(
+                    {frozenset(map(rename, x)): count for x, count in histograms_n4[fam].items()}
+                )
+                assert histograms_n4[frozenset(map(rename, fam))] == renamed, (sorted(fam), perm)
+
+    def test_n4_whole_system_closure(self, histograms_n4):
+        # On families whose catalogue product is small, keep each choice of
+        # one closed path set per layer iff the closure of its paths adds
+        # none, and count the kept ones.
+        small = [
+            fam
+            for fam in sorted(histograms_n4, key=sorted)
+            if 100 <= math.prod(len(closed_path_sets(mask)) for mask in fam) <= 2000
+        ]
+        rng = random.Random(6)
+        for fam in rng.sample(small, 8):
+            assert histograms_n4[fam] == ref.histogram_by_closure(sorted(fam)), sorted(fam)
+
+    def test_tables_stay_within_their_bounds(self):
+        count_replete(4)
+        count_free_mirig(3, "triples")
+        for table, bound in (
+            (subsemigroups._family_plan, subsemigroups.FAMILY_PLAN_MEMO),
+            (subsemigroups._coatom_counts, subsemigroups.COATOM_TABLE_MEMO),
+            (triples._family_stragglers, triples.FAMILY_STRAGGLERS_MEMO),
+        ):
+            info = table.cache_info()
+            assert info.maxsize == bound and 0 < info.currsize <= bound, table
 
 
 class TestEnumeration:
@@ -526,10 +619,15 @@ class TestEnumeration:
                 assert is_subsemigroup(xy_factor(trees, x, y, 3))
 
     def test_capacity(self):
-        with pytest.raises(CapacityError):
+        # Listing stops at MAX_ENUMERATION_N = 3 and the censuses at
+        # MAX_CENSUS_N = 4, before any work.
+        assert (MAX_ENUMERATION_N, MAX_CENSUS_N) == (3, 4)
+        with pytest.raises(CapacityError, match="n <= 3"):
             list(enumerate_replete(4))
-        with pytest.raises(CapacityError):
-            count_replete(4)
+        with pytest.raises(CapacityError, match="n <= 3"):
+            count_free_mirig(4, "triples")
+        with pytest.raises(CapacityError, match="n <= 4"):
+            count_replete(5)
 
     def test_negative_n(self):
         for call in (lambda: list(enumerate_replete(-1)), lambda: count_replete(-1)):
@@ -543,7 +641,7 @@ class TestEnumeration:
         for n in range(4):
             for fam in union_closed_families(n):
                 family = sorted(fam)
-                systems = list(_right_systems(family))
+                systems = ref.indexed_systems(family)
                 assert [system for system, _ in systems] == list(ref.right_systems(family)), family
                 for system, bits in systems:
                     assert bits == bits_of(p for ps in system.values() for p in ps), system

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tree_reference as ref
+from tree_reference import sample_triples
 from mirigs.errors import CapacityError, ParseError
 from mirigs.monoid import (
     LEAF,
@@ -19,9 +20,9 @@ from mirigs.monoid import (
     star_right,
 )
 from mirigs import triples
+from mirigs.verify import PINNED
 from mirigs.subsemigroups import (
     RepleteSubsemigroup,
-    _right_systems,
     bits_of,
     enumerate_replete,
     path_class_size,
@@ -46,7 +47,6 @@ from mirigs.triples import (
     mirig_upper_bounds,
     normalize_thicket,
     one,
-    sample_triples,
     triple_add,
     triple_canonical_thicket,
     triple_mul,
@@ -452,7 +452,7 @@ class TestDominatedReference:
             candidates = [num.masks[numbers.start] for numbers in stragglers.numbers]
             layers = tuple((mask, (), ()) for mask in sorted(fam))
             assert candidates == ref._d_mask_candidates(RepleteSubsemigroup(3, False, layers))
-            for system, _ in _right_systems(sorted(fam)):
+            for system, _ in ref.indexed_systems(sorted(fam)):
                 mirrored = {m: frozenset(p[::-1] for p in ps) for m, ps in system.items()}
                 for paths_of, mirror_of in ((system, mirrored), (mirrored, system)):
                     paths = [p for ps in paths_of.values() for p in ps]
@@ -477,10 +477,10 @@ class TestDominatedReference:
         # pair of paths in the tuple.
         num = path_numbering(3)
         systems = joint = 0
-        for family, found in right_systems_by_family(3):
-            stragglers = triples._family_stragglers(3, frozenset(family))
+        for fam in union_closed_families(3):
+            stragglers = triples._family_stragglers(3, fam)
             candidates = [num.masks[numbers.start] for numbers in stragglers.numbers]
-            for system, _ in found:
+            for system, _ in ref.indexed_systems(sorted(fam)):
                 mirrored = {m: frozenset(p[::-1] for p in ps) for m, ps in system.items()}
                 for paths_of, mirror_of in ((system, mirrored), (mirrored, system)):
                     options = triples._straggler_options(
@@ -519,8 +519,8 @@ class TestDominatedReference:
         # order and their weights are the reference's, which lists the
         # configurations, options and joint assignments from the paths.
         systems = 0
-        for family, found in right_systems_by_family(3):
-            fam = frozenset(family)
+        for fam in union_closed_families(3):
+            family = sorted(fam)
             stragglers = triples._family_stragglers(3, fam)
             layers = tuple((mask, (), ()) for mask in family)
             candidates = ref._d_mask_candidates(RepleteSubsemigroup(3, False, layers))
@@ -536,7 +536,7 @@ class TestDominatedReference:
             assert stragglers.weights == tuple(
                 math.prod(path_class_size(mask_size(a)) ** 2 for a in masks) for masks in configs
             )
-            for system, _ in found:
+            for system, _ in ref.indexed_systems(family):
                 mirrored = {m: frozenset(p[::-1] for p in ps) for m, ps in system.items()}
                 for paths_of in (system, mirrored):
                     options = triples._straggler_options(
@@ -553,7 +553,8 @@ class TestDominatedReference:
                         )
                         for masks in configs
                     ]
-                    assert triples._assignment_counts(stragglers, options) == expected, system
+                    counts = list(map(len, options))
+                    assert triples._assignment_counts(stragglers, counts) == expected, system
                 systems += 1
         assert systems == 573
 
@@ -569,7 +570,9 @@ class TestTriplesCensus:
         for family, systems in right_systems_by_family(3):
             stragglers = triples._family_stragglers(3, frozenset(family))
             counts = [
-                triples._assignment_counts(stragglers, triples._straggler_options(stragglers, bits))
+                triples._assignment_counts(
+                    stragglers, list(map(len, triples._straggler_options(stragglers, bits)))
+                )
                 for _, bits in systems
             ]
             for (_, left_bits), left in zip(systems, counts):
@@ -587,6 +590,19 @@ class TestTriplesCensus:
                         pairs += 1
         assert next(built, None) is None
         assert pairs == 18030
+
+    def test_option_counts_match_straggler_options(self):
+        # The census ORs each candidate path's star products from the rows
+        # of the system's catalogue entries; _straggler_options reads them
+        # from the pair table over the system's paths.
+        systems = 0
+        for family, found in right_systems_by_family(3):
+            stragglers = triples._family_stragglers(3, frozenset(family))
+            for index, bits in found:
+                options = triples._straggler_options(stragglers, bits)
+                assert triples._option_counts(stragglers, index, bits) == list(map(len, options))
+                systems += 1
+        assert systems == 573
 
     def test_census_is_the_per_s_sum(self):
         for n in range(4):
@@ -608,6 +624,16 @@ class TestCounting:
         # exact recomputation; see the acceptance suite for the comparison
         # against the previously published figure
         assert count_free_mirig(3, "grouped") == 515861
+
+    def test_n4_censuses(self):
+        # The censuses that count from the per-family histograms answer at
+        # n = 4; the triples strategy, which lists the right systems, stops
+        # at n = 3.
+        expected = PINNED["censuses n=4"]
+        assert count_free_mirig(4) == expected["mirig"]
+        assert count_characteristic_variant(4, "11") == expected["replete"]
+        assert count_characteristic_variant(4, "21") == expected["21"]
+        assert count_characteristic_variant(4, "12") == expected["12"]
 
     def test_bad_strategy(self):
         with pytest.raises(ValueError):
@@ -662,6 +688,19 @@ class TestCensusReference:
             assert count_characteristic_variant(n, "11") == ref.count_replete(n), n
             assert count_characteristic_variant(n, "21") == ref.count_variant_21(n), n
             assert count_characteristic_variant(n, "12") == ref.count_variant_12(n), n
+
+    def test_straggler_subset_sum_is_a_product(self):
+        # Against the sum set by set, for every set of at most 3 alphabets
+        # on 4 letters, with up to 2 more layers, at both bases.
+        masks = range(1, 16)
+        for r in range(4):
+            for singles in itertools.combinations(masks, r):
+                for layers in range(r, r + 3):
+                    for base in (1, 2):
+                        bits = sum(1 << a for a in singles)
+                        assert triples._straggler_subset_sum(bits, layers, base) == (
+                            ref.straggler_subset_sum(singles, layers, base)
+                        ), (singles, layers, base)
 
     def test_upsets_are_the_dedekind_numbers(self):
         assert [len(ref.upsets_top_down(n)) for n in range(6)] == [2, 3, 6, 20, 168, 7581]

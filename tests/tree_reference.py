@@ -57,10 +57,13 @@ kept for tests only.
 import functools
 import itertools
 import math
+import random
+from collections import Counter
 
 from mirigs.errors import CapacityError, ParseError
 from mirigs.monoid import (
     LEAF,
+    Tree,
     lmp,
     mask_members,
     mask_of,
@@ -74,9 +77,11 @@ from mirigs.monoid import (
 )
 from mirigs.subsemigroups import (
     RepleteSubsemigroup,
+    _right_systems,
     alphabet_family,
     bits_of,
     close_bits,
+    closed_path_set_bits,
     close_under_product,
     enumerate_replete,
     layer_of,
@@ -88,7 +93,6 @@ from mirigs.thickets import Thicket, apparity_by_alphabet
 from mirigs.triples import (
     ComplementaryTriple,
     _check_same,
-    _straggler_subset_sum,
     _trees_with_paths,
     zero,
 )
@@ -353,6 +357,86 @@ def count_replete(n):
     return sum(1 for _ in enumerate_replete(n))
 
 
+def is_left_factor(s: Tree, t: Tree) -> bool:
+    """True iff t = s * t' for some t', i.e. s*t = t."""
+    return tree_product(s, t) is t
+
+
+def is_right_factor(s: Tree, t: Tree) -> bool:
+    """True iff t = t' * s for some t', i.e. t*s = t."""
+    return tree_product(t, s) is t
+
+
+def union_closed_families(n):
+    """Every union-closed family of nonempty alphabets over [n], by a scan
+    of all subsets of the masks, in the order of the library's."""
+    masks = range(1, 1 << n)
+    return [
+        frozenset(combo)
+        for r in range(len(masks) + 1)
+        for combo in itertools.combinations(masks, r)
+        if all(a | b in combo for a in combo for b in combo)
+    ]
+
+
+def indexed_systems(family):
+    """The library's right systems (_right_systems), each as a dict mask ->
+    path set, with its path bits."""
+    entries = [[target for target, _, _ in closed_path_set_bits(mask)] for mask in family]
+    return [
+        ({mask: layer[e] for mask, layer, e in zip(family, entries, index)}, bits)
+        for index, bits in _right_systems(family)
+    ]
+
+
+def _minimal_masks(family):
+    return [a for a in family if not any(b != a and b & a == b for b in family)]
+
+
+def histogram_by_listing(family):
+    """H[X] over the right systems that _right_systems lists, X being the
+    minimal layers that hold one path."""
+    minimal = _minimal_masks(family)
+    return Counter(
+        frozenset(a for a in minimal if len(system[a]) == 1)
+        for system, _ in indexed_systems(family)
+    )
+
+
+def histogram_by_closure(family):
+    """H[X] over the whole product of the per-layer catalogues, keeping a
+    choice iff the replete star closure of its paths adds none: a right
+    system is a choice of closed path set per layer that is closed under
+    cross-layer products."""
+    minimal = _minimal_masks(family)
+    catalogs = [closed_path_set_bits(mask) for mask in family]
+    out = Counter()
+    for choice in itertools.product(*catalogs):
+        union = 0
+        for _, own, _ in choice:
+            union |= own
+        if close_bits(union, replete=True) == union:
+            out[frozenset(a for a, (target, _, _) in zip(family, choice) if a in minimal and len(target) == 1)] += 1
+    return out
+
+
+def sample_triples(n: int, count: int, seed: int = 0) -> list[ComplementaryTriple]:
+    """Random triples, for property tests at sizes where exhaustion is out."""
+    rng = random.Random(seed)
+    semis = list(enumerate_replete(n))
+    out = []
+    while len(out) < count:
+        s = rng.choice(semis)
+        ds = list(enumerate_dominated(s))
+        d = rng.choice(ds)
+        d_masks = frozenset(t.alpha for t in d)
+        extra = frozenset(a for a in s.alphabet_masks() if rng.random() < 0.5)
+        out.append(ComplementaryTriple(n, s, d, d_masks | extra))
+    return out
+
+
+
+
 def _minimal_single_path_masks(s):
     family = _family_masks(s)
     out = []
@@ -364,8 +448,20 @@ def _minimal_single_path_masks(s):
     return out
 
 
+def straggler_subset_sum(singles, layers: int, base: int) -> int:
+    """Sum, over the sets e of minimal single-path layers (the masks in
+    singles) that stragglers stand in for, of the straggler choices on e
+    times base ** (the number of layers of S outside e), set by set."""
+    total = 0
+    for r in range(len(singles) + 1):
+        for e in itertools.combinations(singles, r):
+            q = math.prod(path_class_size(mask_size(a)) ** 2 for a in e)
+            total += base ** (layers - r) * q
+    return total
+
+
 def _straggler_sum(s, base):
-    return _straggler_subset_sum(_minimal_single_path_masks(s), len(s.layers), base)
+    return straggler_subset_sum(_minimal_single_path_masks(s), len(s.layers), base)
 
 
 def count_free_mirig_grouped(n):
