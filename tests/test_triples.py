@@ -20,7 +20,6 @@ from mirigs.monoid import (
     star_right,
 )
 from mirigs import triples
-from mirigs.verify import PINNED
 from mirigs.subsemigroups import (
     RepleteSubsemigroup,
     bits_of,
@@ -624,16 +623,6 @@ class TestCounting:
         # exact recomputation; see the acceptance suite for the comparison
         # against the previously published figure
         assert count_free_mirig(3, "grouped") == 515861
-
-    def test_n4_censuses(self):
-        # The censuses that count from the per-family histograms answer at
-        # n = 4; the triples strategy, which lists the right systems, stops
-        # at n = 3.
-        expected = PINNED["censuses n=4"]
-        assert count_free_mirig(4) == expected["mirig"]
-        assert count_characteristic_variant(4, "11") == expected["replete"]
-        assert count_characteristic_variant(4, "21") == expected["21"]
-        assert count_characteristic_variant(4, "12") == expected["12"]
 
     def test_bad_strategy(self):
         with pytest.raises(ValueError):
