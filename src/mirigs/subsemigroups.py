@@ -806,10 +806,11 @@ def enumerate_replete(n: int) -> Iterator[RepleteSubsemigroup]:
 # count into its one-path entries and the rest.
 #
 # The tables behind the product are shared between families and between
-# calls: the catalogue, one plan per family, and one count table per
-# co-atom, top and set of core paths below the co-atom, as these recur
-# across families.  At n = 4 the 2480 families use 485 top entries at most,
-# the 4-letter catalogue.  No histogram is kept: every call counts afresh.
+# calls: the catalogue per mask, one plan per family holding only indices,
+# and one count table per co-atom, top and set of core paths below the
+# co-atom, which recur across families (900 tables serve the 2479 nonempty
+# families at n = 4, most of them under the 485-entry 4-letter top).  No
+# histogram is kept: every call counts afresh.
 
 
 class FamilyPlan(NamedTuple):

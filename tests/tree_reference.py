@@ -50,6 +50,19 @@ every star product for membership in a set of paths, where
 `mirigs.triples` shares each side's options between the S with the same
 path system on that side and tests them as ANDs of path bitsets.
 
+`union_closed_families` scans every subset of the masks, where the
+library decides the masks in order with the unions they force.
+`histogram_by_listing` counts the right systems that
+`mirigs.subsemigroups._right_systems` lists, and `histogram_by_closure`
+keeps each choice of the whole catalogue product whose paths the replete
+closure leaves as they are, where `right_system_histograms` counts by a
+sum-product over each family's co-atoms.  `straggler_subset_sum` adds up
+the straggler choices set by set, where the library multiplies one factor
+per layer.
+
+`is_left_factor`, `is_right_factor` and `sample_triples` are helpers that
+only the tests use.
+
 All are slower than the library code, most of them exponentially, and are
 kept for tests only.
 """
