@@ -314,16 +314,20 @@ class TestPathEngine:
             assert num.layer_start[mask] == layer[0]
 
     def test_path_bits_are_the_three_letter_prefix(self):
-        # The triples census reads the shared numbering's prefix on
-        # MAX_ENUMERATION_N letters, however far arithmetic has grown it,
-        # through the pair table, one row and one column per path of that
-        # prefix.
-        num = PathNumbering().grow(MAX_ENUMERATION_N)
-        shared = path_numbering(MAX_ENUMERATION_N + 1)
+        # The census checks read the shared numbering's prefix on
+        # MAX_CENSUS_N letters, however far arithmetic has grown it, through
+        # the pair table, one row and one column per path of that prefix;
+        # the triples census reads its prefix on MAX_ENUMERATION_N letters,
+        # the first rows and columns of the table.
+        shared = path_numbering(MAX_CENSUS_N + 1)
         count = len(star_pair_bits())
-        assert count == len(num.paths) == shared.layer_start[1 << MAX_ENUMERATION_N]
-        assert shared.paths[:count] == num.paths
-        assert shared.bit[:count] == num.bit
+        for n in (MAX_ENUMERATION_N, MAX_CENSUS_N):
+            num = PathNumbering().grow(n)
+            prefix = len(num.paths)
+            assert prefix == shared.layer_start[1 << n] <= count
+            assert shared.paths[:prefix] == num.paths
+            assert shared.bit[:prefix] == num.bit
+        assert count == shared.layer_start[1 << MAX_CENSUS_N]
 
     def test_rows_match_star_right(self):
         num = PathNumbering().grow(4)
@@ -334,12 +338,12 @@ class TestPathEngine:
                 assert product == 1 << num.index[star_right(p, q)], (p, q)
 
     def test_star_pair_bits_match_star_right(self):
-        # Every pair of the 15 paths on 3 letters, by number.
-        num = PathNumbering().grow(3)
+        # Every pair of the 64 paths on 4 letters, by number.
+        num = PathNumbering().grow(4)
         table = star_pair_bits()
-        assert len(table) == len(num.paths) == 15
+        assert len(table) == len(num.paths) == 64
         for rho, row in zip(num.paths, table):
-            assert len(row) == 15
+            assert len(row) == 64
             for sigma, products in zip(num.paths, row):
                 expected = [star_right(rho, sigma), star_right(sigma, rho)]
                 assert products == bits_of(expected), (rho, sigma)

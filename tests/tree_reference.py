@@ -61,7 +61,9 @@ the straggler choices set by set, where the library multiplies one factor
 per layer.
 
 `is_left_factor`, `is_right_factor` and `sample_triples` are helpers that
-only the tests use.
+only the tests use; `sample_triples` draws its dominated sets from the
+library's `mirigs.triples.enumerate_dominated`, so a change of its order
+shows in the pin of the sample.
 
 All are slower than the library code, most of them exponentially, and are
 kept for tests only.
@@ -103,6 +105,7 @@ from mirigs.subsemigroups import (
 )
 from mirigs.quotients import N22
 from mirigs.thickets import Thicket, apparity_by_alphabet
+from mirigs import triples
 from mirigs.triples import (
     ComplementaryTriple,
     _check_same,
@@ -440,7 +443,7 @@ def sample_triples(n: int, count: int, seed: int = 0) -> list[ComplementaryTripl
     out = []
     while len(out) < count:
         s = rng.choice(semis)
-        ds = list(enumerate_dominated(s))
+        ds = list(triples.enumerate_dominated(s))
         d = rng.choice(ds)
         d_masks = frozenset(t.alpha for t in d)
         extra = frozenset(a for a in s.alphabet_masks() if rng.random() < 0.5)
